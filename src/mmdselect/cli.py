@@ -223,7 +223,7 @@ def _cmd_test(args) -> dict:
         },
         "selection": _selection_payload(report.selection),
         "test": report.to_dict(),
-        "diagnostics": {"method": args.solver},
+        "diagnostics": {"method": args.solver, "calibration": report.calibration},
     }
 
 

@@ -9,7 +9,10 @@ The three kernel families act on samples projected by a sparse unit vector
 * gaussian:    ``K_z(x, y) = exp(-(sum_k z[k](x[k]-y[k]))^2 / (2 gamma))``
 
 The statistic is the plug-in V-estimate with weights 1/n^2, 1/m^2, -2/(mn)
-over all within- and cross-group pairs (same-index terms included).
+over all within- and cross-group pairs (same-index terms included).  For the
+linear and quadratic kernels it equals a weighted sum of squared gaps between
+the group means of features on the support of ``z``, which is how it is
+computed; the gaussian statistic sums Gram blocks.
 """
 
 from __future__ import annotations
@@ -111,17 +114,67 @@ def gram(spec: KernelSpec, z, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return np.exp(-np.subtract.outer(u, v) ** 2 / (2.0 * gamma))
 
 
+def moment_features(spec: KernelSpec, z, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Support features ``F`` (one row per feature, one column per sample)
+    and weights ``w`` of the linear and quadratic statistics.
+
+    The squared MMD between sample columns ``I`` and ``J`` is
+    ``sum_f w[f] (mean_I F[f] - mean_J F[f])^2``.  The features are ``x_k``
+    for ``k`` in the support of ``z`` (weight ``z_k`` for the linear kernel,
+    ``2 c z_k`` for the quadratic one) and, for the quadratic kernel, the
+    products ``x_j x_k`` for ``j <= k`` in the support (weight ``z_j^2`` on
+    the diagonal, ``2 z_j z_k`` off it): the algebra of
+    ``quad.assemble_quadratic`` restricted to the support.
+    """
+    if spec.family == GAUSSIAN:
+        raise ValueError("the gaussian statistic has no finite moment form")
+    zv = _as_vector(z)
+    U = np.asarray(U, dtype=np.float64)
+    if U.shape[1] != zv.shape[0]:
+        raise ValueError("dimension mismatch between z and sample block")
+    S = np.flatnonzero(zv)
+    zs = zv[S]
+    XS = np.ascontiguousarray(U[:, S].T)
+    if spec.family == LINEAR:
+        return XS, zs
+    c = spec.require_bandwidth()
+    j, k = np.triu_indices(len(S))
+    F = np.vstack([XS, XS[j] * XS[k]])
+    w = np.concatenate([2.0 * c * zs, np.where(j == k, 1.0, 2.0) * zs[j] * zs[k]])
+    return F, w
+
+
+def moment_mmd_sq(F: np.ndarray, w: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> float:
+    """Squared MMD between the sample columns ``ix`` and ``iy`` of the
+    features from :func:`moment_features`.
+
+    Sums are numpy (pairwise) reductions over the gathered, contiguous
+    columns, never a BLAS product, so the value does not depend on the BLAS
+    thread count.  Pass sorted index sets: equal sets then sum in the same
+    order and give bit-identical values, and swapping the sets negates the
+    mean gap exactly.
+    """
+    gap = F.take(ix, axis=1).mean(axis=1) - F.take(iy, axis=1).mean(axis=1)
+    return float(np.sum(w * gap**2))
+
+
 def mmd_sq(spec: KernelSpec, z, data: TwoSampleData) -> float:
     """Empirical squared MMD of the two groups under the projected kernel.
 
-    Exactly symmetric under swapping the groups: the cross sum is accumulated
-    in both storage orders and averaged, so (X, Y) and (Y, X) produce the same
-    floating-point value.
+    Exactly symmetric under swapping the groups.  The linear and quadratic
+    statistics come from support moments (:func:`moment_mmd_sq`, the path
+    ``permutation_test`` calibrates with).  The gaussian one sums Gram blocks,
+    accumulating the cross sum in both storage orders and averaging, so
+    (X, Y) and (Y, X) produce the same floating-point value.
     """
+    n, m = data.n, data.m
+    if spec.family != GAUSSIAN:
+        F, w = moment_features(spec, z, np.vstack([data.X, data.Y]))
+        base = np.arange(n + m)
+        return moment_mmd_sq(F, w, base[:n], base[n:])
     Gxx = gram(spec, z, data.X, data.X)
     Gyy = gram(spec, z, data.Y, data.Y)
     Gxy = gram(spec, z, data.X, data.Y)
-    n, m = data.n, data.m
     cross = 0.5 * (float(np.sum(Gxy)) + float(np.sum(np.ascontiguousarray(Gxy.T))))
     return float(np.sum(Gxx)) / (n * n) + float(np.sum(Gyy)) / (m * m) - 2.0 * cross / (n * m)
 

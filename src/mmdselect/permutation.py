@@ -5,17 +5,33 @@ The permutation p-value is ``#{T_t >= T} / N_p`` by default (granularity
 exactly ``1/N_p``, zero attainable); the standard add-one correction
 ``(1 + #{T_t >= T}) / (1 + N_p)`` sits behind a flag.  Rejection is strict:
 ``p < alpha``.
+
+Every statistic, observed or permuted, goes through one helper on sorted
+index sets of the pooled test rows (N = n + m rows, support size k):
+
+* linear and quadratic: sums of the support features of each group
+  (``mmd.moment_features``: ``x_S``, plus ``x_j x_k`` for the quadratic
+  kernel), O(N k) resp. O(N k^2) per relabeling and no N x N array;
+* gaussian: the pooled Gram matrix, built once, then one row gather per group
+  and its column sums, O(N^2) per relabeling.
+
+All sums are numpy reductions, not BLAS products, so the statistics are
+bit-identical for any BLAS thread count.  A relabeling that reproduces the
+observed partition, or its swap when n = m, gives exactly the observed
+statistic, and such exact ties count as exceedances (``T_t >= T``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .core import RandomSource, SelectionVector, TwoSampleData, derive_stream, split_train_test
 from .core import _freeze as _freeze_input
-from .mmd import KernelSpec, gram, resolve_kernel
+from .mmd import GAUSSIAN, KernelSpec, gram, moment_features, moment_mmd_sq, resolve_kernel
 
 _SPLIT_STREAM = 0
 _TRAIN_STREAM = 1
@@ -36,6 +52,10 @@ class PermutationReport:
     train_sizes: tuple
     test_sizes: tuple
     seed: tuple
+    # how the statistics were computed ("moments" or "gram") and the wall
+    # time of each stage; diagnostics only, so kept out of to_dict()
+    calibration: str
+    stage_s: dict = field(compare=False)
 
     def __post_init__(self):
         p = _freeze_input(self.permuted)
@@ -56,11 +76,15 @@ class PermutationReport:
         }
 
 
-def _block_stat(G: np.ndarray, ix: np.ndarray, iy: np.ndarray, n: int, m: int) -> float:
-    sxx = float(G[np.ix_(ix, ix)].sum())
-    syy = float(G[np.ix_(iy, iy)].sum())
-    sxy = float(G[np.ix_(ix, iy)].sum())
-    return sxx / (n * n) + syy / (m * m) - 2.0 * sxy / (n * m)
+def _gram_stat(G: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> float:
+    """Squared MMD of the sample groups ``ix`` and ``iy`` from the pooled Gram
+    matrix, via one row gather per group.  The cross sum is taken from both
+    groups' rows and averaged, so swapping the groups gives the same value."""
+    n, m = len(ix), len(iy)
+    rx = G[ix].sum(axis=0)
+    ry = G[iy].sum(axis=0)
+    sxy = 0.5 * (float(rx[iy].sum()) + float(ry[ix].sum()))
+    return float(rx[ix].sum()) / (n * n) + float(ry[iy].sum()) / (m * m) - 2.0 * sxy / (n * m)
 
 
 def permutation_test(
@@ -86,22 +110,29 @@ def permutation_test(
         raise ValueError("alpha must lie in (0, 1)")
     rng = rng or RandomSource(0)
 
+    start = time.perf_counter()
     train, test = split_train_test(data, train_fraction, derive_stream(rng, _SPLIT_STREAM))
     kernel = resolve_kernel(kernel, train, getattr(selector, "d", None))
     selection = selector.select(train, kernel, derive_stream(rng, _TRAIN_STREAM))
+    selected = time.perf_counter()
 
-    # pooled test Gram computed once; permutation rounds only re-sum subblocks
     pooled = np.vstack([test.X, test.Y])
     n_te, m_te = test.n, test.m
-    G = gram(kernel, selection, pooled, pooled)
+    if kernel.family == GAUSSIAN:
+        calibration = "gram"
+        statistic = partial(_gram_stat, gram(kernel, selection, pooled, pooled))
+    else:
+        calibration = "moments"
+        statistic = partial(moment_mmd_sq, *moment_features(kernel, selection, pooled))
     base = np.arange(n_te + m_te)
-    stat = _block_stat(G, base[:n_te], base[n_te:], n_te, m_te)
+    stat = statistic(base[:n_te], base[n_te:])
 
     perm_root = derive_stream(rng, _PERM_STREAM)
     permuted = np.empty(n_permutations)
     for t in range(n_permutations):
         p = derive_stream(perm_root, t).generator().permutation(n_te + m_te)
-        permuted[t] = _block_stat(G, p[:n_te], p[n_te:], n_te, m_te)
+        permuted[t] = statistic(np.sort(p[:n_te]), np.sort(p[n_te:]))
+    done = time.perf_counter()
 
     exceed = int(np.count_nonzero(permuted >= stat))
     if corrected:
@@ -121,4 +152,6 @@ def permutation_test(
         train_sizes=(train.n, train.m),
         test_sizes=(n_te, m_te),
         seed=(rng.master_seed, rng.stream_id),
+        calibration=calibration,
+        stage_s={"split_select": selected - start, "calibration": done - selected},
     )

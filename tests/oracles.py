@@ -2,7 +2,8 @@
 
 Nothing here imports solver internals: the sphere maximum comes from the 1-D
 convex dual evaluated in the eigenbasis, subset selection from exhaustive
-enumeration, and low-dimensional maxima from refined grid search.
+enumeration, low-dimensional maxima from refined grid search, and permutation
+statistics from the three sub-blocks of the pooled Gram matrix.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ import itertools
 
 import numpy as np
 from scipy.optimize import minimize_scalar
+
+from mmdselect.core import derive_stream
+from mmdselect.mmd import gram
 
 
 def dual_trs_value(A: np.ndarray, t: np.ndarray) -> float:
@@ -103,3 +107,29 @@ def central_difference_gradient(fn, Z: np.ndarray, h: float = 1e-6) -> np.ndarra
                 # off-diagonal perturbation moves two entries; gradient wrt one
                 G[i, j] = G[j, i] = G[i, j] / 2.0
     return G
+
+
+def gram_block_stat(G: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> float:
+    """Squared MMD of the sample groups ``ix`` and ``iy`` from the xx, yy and
+    xy sub-blocks of the pooled Gram matrix ``G``."""
+    n, m = len(ix), len(iy)
+    sxx = float(G[np.ix_(ix, ix)].sum())
+    syy = float(G[np.ix_(iy, iy)].sum())
+    sxy = float(G[np.ix_(ix, iy)].sum())
+    return sxx / (n * n) + syy / (m * m) - 2.0 * sxy / (n * m)
+
+
+def gram_permutation_stats(kernel, z, test, perm_root, n_permutations: int):
+    """Observed and relabeled statistics of a held-out split from the pooled
+    Gram matrix, relabeling ``t`` being the permutation drawn from stream
+    ``t`` of ``perm_root``.  Also returns ``max |G|``, the scale of the
+    rounding error of these sums."""
+    pooled = np.vstack([test.X, test.Y])
+    G = gram(kernel, z, pooled, pooled)
+    n, N = test.n, len(pooled)
+    base = np.arange(N)
+    permuted = []
+    for t in range(n_permutations):
+        p = derive_stream(perm_root, t).generator().permutation(N)
+        permuted.append(gram_block_stat(G, p[:n], p[n:]))
+    return gram_block_stat(G, base[:n], base[n:]), np.array(permuted), float(np.abs(G).max())

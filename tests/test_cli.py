@@ -77,6 +77,17 @@ def test_test_subcommand_deterministic(csv_pair, tmp_path):
     assert 0.0 <= doc1["test"]["p_value"] <= 1.0
 
 
+def test_test_reports_calibration(csv_pair, tmp_path):
+    px, py = csv_pair
+    code, doc = run(
+        ["test", "--solver", "quad-greedy", "--d", "2", "--x", px, "--y", py,
+         "--np", "20", "--seed", "3"],
+        tmp_path,
+    )
+    assert code == 0
+    assert doc["diagnostics"] == {"method": "quad-greedy", "calibration": "moments"}
+
+
 def test_test_corrected_flag(csv_pair, tmp_path):
     px, py = csv_pair
     code, doc = run(

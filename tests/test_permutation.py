@@ -1,10 +1,25 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from oracles import gram_block_stat, gram_permutation_stats
 
+import mmdselect
 from mmdselect.core import RandomSource, TwoSampleData, derive_stream, make_selection, split_train_test
-from mmdselect.mmd import KernelSpec, mmd_sq
+from mmdselect.mmd import KernelSpec, gram, mmd_sq
 from mmdselect.permutation import permutation_test
 from mmdselect.selectors import OracleSelector, Selector
+
+# permutation_test draws relabeling t from stream t of this child stream
+PERM_STREAM = 2
+EPS = np.finfo(np.float64).eps
 
 
 class RecordingSelector:
@@ -163,3 +178,189 @@ def test_validation_errors():
     tiny = TwoSampleData(np.zeros((1, 2)), np.zeros((4, 2)))
     with pytest.raises(ValueError, match="empty part"):
         permutation_test(tiny, KernelSpec.linear(), sel, 10, 0.05)
+
+
+# Golden panel: p-values and statistics recorded from the pooled-Gram
+# implementation that preceded the moment-based calibration.  Each case draws
+# a sparse mixed-sign direction, so the projection's signs and its zero
+# coordinate both matter.
+GOLDEN_PATH = Path(__file__).parent / "golden_permutation.json"
+
+
+class FixedSelector:
+    name = "fixed"
+
+    def __init__(self, z):
+        self.z = np.asarray(z, dtype=float)
+        self.d = int(np.count_nonzero(self.z))
+
+    def select(self, train, kernel, rng):
+        return make_selection(self.z, self.d)
+
+
+def golden_cases():
+    cases = []
+    for family in ("linear", "quadratic", "gaussian"):
+        for mode in ("null", "shift"):
+            for seed in range(5):
+                cases.append((family, mode, seed, 20, 20, 200))
+            for k, n_p in enumerate((1, 63, 64, 65, 200)):
+                cases.append((family, mode, 100 + k, 14, 22, n_p))  # 7 vs 11 test rows
+    return cases
+
+
+def golden_id(case):
+    family, mode, seed, n, m, n_p = case
+    return f"{family}-{mode}-s{seed}-{n}x{m}-np{n_p}"
+
+
+def run_golden_case(case):
+    family, mode, seed, n, m, n_p = case
+    gen = np.random.default_rng(seed)
+    X = gen.standard_normal((n, 4))
+    Y = gen.standard_normal((m, 4))
+    if mode == "shift":
+        X[:, 0] += 1.0
+        X[:, 1] *= 1.5
+    z = np.append(gen.standard_normal(3), 0.0)
+    return permutation_test(
+        TwoSampleData(X, Y), KernelSpec(family), FixedSelector(z), n_p, 0.05, 0.5,
+        RandomSource(seed),
+    )
+
+
+@pytest.mark.parametrize("case", golden_cases(), ids=golden_id)
+def test_golden_panel_matches_gram_implementation(case):
+    want = json.loads(GOLDEN_PATH.read_text())[golden_id(case)]
+    rep = run_golden_case(case)
+    assert rep.p_value == want["p_value"]
+    assert rep.statistic == pytest.approx(want["statistic"], rel=1e-12, abs=0.0)
+
+
+KERNELS = [KernelSpec.linear(), KernelSpec.quadratic(0.8), KernelSpec.gaussian(1.0)]
+KERNEL_IDS = ["linear", "quadratic", "gaussian"]
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+@pytest.mark.parametrize("z", [[0.6, -0.8, 0.0], [0.3, 0.5, 0.8]], ids=["mixed", "positive"])
+def test_permuted_matches_gram_reference(kernel, z):
+    gen = np.random.default_rng(3)
+    data = iid_data(gen, 15, 19, 3, shift=0.4)
+    rng = RandomSource(8)
+    rep = permutation_test(data, kernel, FixedSelector(z), 64, 0.05, 0.5, rng)
+    _, test = split_train_test(data, 0.5, derive_stream(rng, 0))
+    stat, permuted, scale = gram_permutation_stats(
+        rep.kernel, rep.selection, test, derive_stream(rng, PERM_STREAM), 64
+    )
+    # both sides sum O(N) terms of size <= max|G| in different orders
+    tol = 64 * (test.n + test.m) * EPS * scale
+    assert abs(rep.statistic - stat) <= tol
+    np.testing.assert_allclose(rep.permuted, permuted, rtol=0.0, atol=tol)
+
+
+@pytest.mark.parametrize("kernel", KERNELS[:2], ids=KERNEL_IDS[:2])
+def test_moment_statistic_is_mmd_sq_of_held_out_split(kernel):
+    gen = np.random.default_rng(4)
+    data = iid_data(gen, 13, 17, 3, shift=0.3)
+    rng = RandomSource(6)
+    rep = permutation_test(data, kernel, FixedSelector([0.6, -0.8, 0.0]), 10, 0.05, 0.5, rng)
+    _, test = split_train_test(data, 0.5, derive_stream(rng, 0))
+    assert rep.statistic == mmd_sq(kernel, rep.selection, test)
+
+
+small_floats = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 6),
+    dim=st.integers(1, 4),
+    c=st.floats(0.05, 4.0),
+    data=st.data(),
+)
+def test_moment_statistic_equals_gram_statistic(n, m, dim, c, data):
+    X = data.draw(hnp.arrays(np.float64, (n, dim), elements=small_floats))
+    Y = data.draw(hnp.arrays(np.float64, (m, dim), elements=small_floats))
+    z = data.draw(hnp.arrays(np.float64, dim, elements=small_floats))
+    pooled = np.vstack([X, Y])
+    base = np.arange(n + m)
+    for spec in (KernelSpec.linear(), KernelSpec.quadratic(c)):
+        G = gram(spec, z, pooled, pooled)
+        want = gram_block_stat(G, base[:n], base[n:])
+        got = mmd_sq(spec, z, TwoSampleData(X, Y))
+        assert abs(got - want) <= 64 * (n + m) * EPS * max(1.0, float(np.abs(G).max()))
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+@pytest.mark.parametrize("rows", [2, 3])  # three rows sum in an order-dependent way
+def test_observed_partition_and_its_swap_tie_exactly(kernel, rows):
+    gen = np.random.default_rng(12)
+    data = iid_data(gen, 2 * rows, 2 * rows, 3, shift=0.5)
+    rng = RandomSource(21)
+    n_p = 200
+    rep = permutation_test(data, kernel, FixedSelector([0.6, -0.8, 0.0]), n_p, 0.05, 0.5, rng)
+    assert rep.test_sizes == (rows, rows)
+    perm_root = derive_stream(rng, PERM_STREAM)
+    observed = ({*range(rows)}, {*range(rows, 2 * rows)})
+    ties = 0
+    for t in range(n_p):
+        p = derive_stream(perm_root, t).generator().permutation(2 * rows)
+        if set(p[:rows].tolist()) in observed:
+            assert rep.permuted[t] == rep.statistic
+            ties += 1
+    assert ties > 0
+    assert rep.p_value >= ties / n_p  # exact ties count as exceedances
+
+
+_BLAS_THREADS_SCRIPT = """
+import hashlib
+import numpy as np
+from mmdselect import KernelSpec, RandomSource, TwoSampleData, permutation_test
+from mmdselect.core import make_selection
+
+class Fixed:
+    d = 3
+    def select(self, train, kernel, rng):
+        return make_selection(np.array([0.6, -0.8, 0.0, 0.5, 0.0]), 3)
+
+gen = np.random.default_rng(3)
+data = TwoSampleData(gen.standard_normal((400, 5)) + 0.1, gen.standard_normal((400, 5)))
+for spec in (KernelSpec.linear(), KernelSpec.quadratic(1.0), KernelSpec.gaussian(1.0)):
+    rep = permutation_test(data, spec, Fixed(), 30, 0.05, 0.5, RandomSource(4))
+    print(spec.family, rep.statistic.hex(), hashlib.sha256(rep.permuted.tobytes()).hexdigest())
+"""
+
+
+def test_statistics_bit_identical_across_blas_thread_counts():
+    src = str(Path(mmdselect.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        run = subprocess.run(
+            [sys.executable, "-c", _BLAS_THREADS_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        outputs.append(run.stdout)
+    assert len(outputs[0].splitlines()) == 3
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "kernel, calibration",
+    [(KERNELS[0], "moments"), (KERNELS[1], "moments"), (KERNELS[2], "gram")],
+    ids=KERNEL_IDS,
+)
+def test_report_diagnostics_stay_out_of_to_dict(kernel, calibration):
+    gen = np.random.default_rng(2)
+    rep = permutation_test(
+        iid_data(gen, 10, 10, 2), kernel, OracleSelector((0,), 1), 20, 0.05, 0.5, RandomSource(1)
+    )
+    assert rep.calibration == calibration
+    assert set(rep.stage_s) == {"split_select", "calibration"}
+    assert all(v >= 0.0 for v in rep.stage_s.values())
+    assert set(rep.to_dict()) == {
+        "statistic", "p_value", "alpha", "reject", "n_permutations", "corrected",
+        "train_sizes", "test_sizes", "seed",
+    }
