@@ -24,6 +24,7 @@ from .linear import linear_coefficients, linear_select
 from .mmd import GAUSSIAN, LINEAR, QUADRATIC, KernelSpec
 from .quad import (
     RelaxConfig,
+    _pad_support,
     assemble_quadratic,
     exact_select_bnb,
     greedy_select,
@@ -111,7 +112,7 @@ class Selector:
             report = greedy_select(qp, d)
         elif self.name == "quad-local":
             g = greedy_select(qp, d)
-            report = local_search(qp, d, _pad(g.support, d, qp.dim))
+            report = local_search(qp, d, _pad_support(g.support, d, qp.dim))
         elif self.name == "quad-exact":
             report = exact_select_bnb(qp, d, dim_cap=self.options.get("dim_cap", 30))
         else:
@@ -124,16 +125,6 @@ class Selector:
         if report.node_count is not None:
             diag["node_count"] = report.node_count
         return report.z, diag
-
-
-def _pad(support, d, D):
-    S = sorted(int(i) for i in support)
-    for j in range(D):
-        if len(S) >= min(d, D):
-            break
-        if j not in S:
-            S.append(j)
-    return sorted(S)
 
 
 def make_selector(name: str, d: int, **options) -> Selector:

@@ -2,12 +2,13 @@
 
 ``trs_max`` computes ``max { z'Az + t'z : ||z||_2 = 1 }`` together with a
 global-optimality certificate: a multiplier ``mu >= lambda_max(A)`` with
-``||2(mu I - A) z - t||`` small.  The primary path extracts the rightmost
-eigenvalue of a 2k x 2k generalized eigenvalue pencil built from ``(A, t)``;
-when the linear term is (numerically) orthogonal to the leading eigenspace the
-pencil eigenvector degenerates and a secular-equation fallback on the
-eigendecomposition of ``A`` takes over, adding a leading-eigenspace component
-to restore unit norm.
+``||2(mu I - A) z - t||`` small.  It decomposes ``A = Q diag(lam) Q'`` once
+and solves the secular equation ``||z(mu)|| = 1`` with
+``z(mu) = Q diag(1 / (2(mu - lam))) Q't`` for ``mu > lambda_max`` (More &
+Sorensen 1983) by Brent's method.  When the linear term is (numerically)
+orthogonal to the leading eigenspace and ``mu = lambda_max`` leaves
+``||z|| < 1`` (the hard case), a leading-eigenspace component restores unit
+norm.
 
 ``lambda_set`` restricts the oracle to a coordinate subset and re-embeds the
 maximizer, which is how every subset-selection routine scores a support.
@@ -15,13 +16,12 @@ maximizer, which is how every subset-selection routine scores a support.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .core import _freeze as _freeze_input
-from scipy.optimize import brentq
 
 
 @dataclass(frozen=True)
@@ -57,13 +57,64 @@ def _residual(A, t, z, mu) -> float:
     return float(np.linalg.norm(2.0 * (mu * z - A @ z) - t))
 
 
-def _secular(A: np.ndarray, t: np.ndarray, tol: float):
-    """Eigendecomposition path: solve ||z(mu)|| = 1 for mu >= lambda_max(A)."""
-    k = A.shape[0]
-    lam, Q = np.linalg.eigh(A)
+def _brentq(f, xa: float, xb: float, xtol=1e-15, rtol=8.9e-16, maxiter=200) -> float:
+    """Root of ``f`` bracketed by ``[xa, xb]``, by Brent's method (Brent 1973,
+    ch. 4): inverse quadratic or secant steps, bisection when they stall.
+
+    This follows ``scipy.optimize.brentq`` step for step, so it returns the
+    same root bit for bit.
+    """
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise ValueError("function value is NaN at a bracket end")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise ValueError(f"function value is NaN at x={xcur!r}")
+    raise RuntimeError(f"Brent's method failed to converge after {maxiter} iterations")
+
+
+def _secular(lam: np.ndarray, Q: np.ndarray, t: np.ndarray, tnorm: float):
+    """Solve ||z(mu)|| = 1 for mu >= lambda_max(A) given ``A = Q diag(lam) Q'``."""
+    k = lam.shape[0]
     lmax = float(lam[-1])
     tt = Q.T @ t
-    tnorm = float(np.linalg.norm(t))
     scale = max(1.0, abs(lmax), tnorm)
     lead = lam >= lmax - 1e-10 * scale
     t_lead = float(np.linalg.norm(tt[lead]))
@@ -74,16 +125,31 @@ def _secular(A: np.ndarray, t: np.ndarray, tol: float):
     def root_in(lo, hi):
         while norm2(hi) > 1.0:
             hi = lmax + 2.0 * (hi - lmax)
-        return brentq(lambda m: norm2(m) - 1.0, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+        mu = _brentq(lambda m: norm2(m) - 1.0, lo, hi)
+        return mu, Q @ (tt / (2.0 * (mu - lam)))
 
+    def root_from_floor(hi):
+        lo = lmax + max(1e-300, 1e-15 * scale)
+        if norm2(lo) >= 1.0:
+            return root_in(lo, hi)
+        # Any root lies within lo - lmax of lmax, or there is none (norm2
+        # stays below 1 as mu -> lmax+): lo stands for it, and the leading
+        # eigenvector's coefficient, signed like t's, fills the norm.  This
+        # also covers ||t|| below the resolution of lmax, where hi rounds to lmax.
+        zt = tt / (2.0 * (lo - lam))
+        zt[-1] = 0.0
+        zt[-1] = np.copysign(np.sqrt(1.0 - float(np.sum(zt**2))), tt[-1])
+        return lo, Q @ zt
+
+    hi = lmax + 0.5 * tnorm + 1e-300
     hard = False
     if t_lead > 1e-9 * max(tnorm, 1e-300):
         # interior secular root exists: norm2 -> inf as mu -> lmax+
         lo = lmax + 0.5 * t_lead * (1.0 - 1e-12)
-        if norm2(lo) < 1.0:
-            lo = lmax + max(1e-300, 1e-15 * scale)
-        mu = root_in(lo, lmax + 0.5 * tnorm + 1e-300)
-        z = Q @ (tt / (2.0 * (mu - lam)))
+        if lo > lmax and norm2(lo) >= 1.0:
+            mu, z = root_in(lo, hi)
+        else:
+            mu, z = root_from_floor(hi)
     else:
         comp = ~lead
         zt = np.zeros(k)
@@ -95,8 +161,7 @@ def _secular(A: np.ndarray, t: np.ndarray, tol: float):
             mu = lmax
             z = Q @ zt + np.sqrt(max(0.0, 1.0 - nrm2)) * Q[:, -1]
         else:
-            mu = root_in(lmax + max(1e-300, 1e-15 * scale), lmax + 0.5 * tnorm + 1e-300)
-            z = Q @ (tt / (2.0 * (mu - lam)))
+            mu, z = root_from_floor(hi)
     nz = float(np.linalg.norm(z))
     if nz > 0:
         z = z / nz
@@ -107,8 +172,11 @@ def trs_max(A: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> TrsSolution:
     """Global maximum of ``z'Az + t'z`` over the unit sphere."""
     if not tol > 0:
         raise ValueError("tol must be positive")
-    A = _check_symmetric(A)
+    A = np.asarray(A, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64).reshape(-1)
+    if not (np.isfinite(A).all() and np.isfinite(t).all()):
+        raise ValueError("A and t must be finite")
+    A = _check_symmetric(A)
     k = A.shape[0]
     if t.shape[0] != k:
         raise ValueError("t must match the dimension of A")
@@ -120,58 +188,22 @@ def trs_max(A: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> TrsSolution:
         value = float(A[0, 0] + abs(t[0]))
         return TrsSolution(value, z, mu, _residual(A, t, z, mu), hard_case=bool(t[0] == 0.0))
 
+    lam, Q = np.linalg.eigh(A)
+    lmax = float(lam[-1])
     if tnorm == 0.0:
-        lam, Q = np.linalg.eigh(A)
         z = _canonical_sign(Q[:, -1])
-        mu = float(lam[-1])
-        return TrsSolution(mu, z, mu, _residual(A, t, z, mu), hard_case=True)
+        return TrsSolution(lmax, z, lmax, _residual(A, t, z, lmax), hard_case=True)
 
-    lmax = float(np.linalg.eigvalsh(A)[-1])
-    z = mu = None
-    hard = False
-
-    # pencil path: rightmost eigenvalue of M0 + lambda M1 (solve M0 y = -lambda M1 y)
-    ghat = -t / 2.0
-    M0 = np.block([[-np.eye(k), -A], [-A, -np.outer(ghat, ghat)]])
-    M1 = np.block([[np.zeros((k, k)), np.eye(k)], [np.eye(k), np.zeros((k, k))]])
-    try:
-        w, V = sla.eig(M0, -M1)
-    except Exception:
-        w = None
-    if w is not None:
-        usable = np.isfinite(w.real) & np.isfinite(w.imag)
-        usable &= np.abs(w.imag) <= 1e-6 * (1.0 + np.abs(w.real))
-        if np.any(usable):
-            idx = np.flatnonzero(usable)
-            j = idx[np.argmax(w.real[idx])]
-            y = V[:, j]
-            phase = y[np.argmax(np.abs(y))]
-            y = (y * np.conj(phase / abs(phase))).real
-            y1, y2 = y[:k], y[k:]
-            s = float(t @ y2)
-            # conditioning guard on y1 and the hard-case test on the linear term
-            if (
-                np.linalg.norm(y1) >= 1e-10 * np.linalg.norm(y)
-                and abs(s) > tol * tnorm * np.linalg.norm(y2)
-            ):
-                cand = np.sign(s) * y1 / np.linalg.norm(y1)
-                cand_mu = float(w[j].real)
-                if (
-                    _residual(A, t, cand, cand_mu) <= tol * (1.0 + tnorm)
-                    and cand_mu >= lmax - tol
-                ):
-                    z, mu = cand, cand_mu
-
-    if z is None:
-        z, mu, hard = _secular(A, t, tol)
-
+    z, mu, hard = _secular(lam, Q, t, tnorm)
     value = float(z @ A @ z + t @ z)
     res = _residual(A, t, z, mu)
-    if res > max(tol, 1e-6) * (1.0 + tnorm) or mu < lmax - max(tol, 1e-7):
+    bound = max(tol, 1e-6) * (1.0 + tnorm)
+    # written so that a NaN residual or multiplier fails, as does an overflowed bound
+    if not (math.isfinite(bound) and res <= bound and mu >= lmax - max(tol, 1e-7)):
         raise ArithmeticError(
             f"sphere maximizer failed its optimality certificate (residual {res:.3e})"
         )
-    return TrsSolution(value, z, float(mu), res, hard)
+    return TrsSolution(value, z, mu, res, hard)
 
 
 def lambda_set(S, A: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> TrsSolution:

@@ -1,7 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from scipy.optimize import brentq
 
-from mmdselect.trs import lambda_set, trs_max
+import mmdselect
+from mmdselect.trs import _brentq, lambda_set, trs_max
 
 from oracles import dual_trs_value, grid_sphere_max
 
@@ -44,6 +54,34 @@ def test_mixed_case_boundary_multiplier():
     assert abs(sol.z[0]) == pytest.approx(np.sqrt(3) / 2, abs=1e-8)
     assert sol.z[1] == pytest.approx(0.5, abs=1e-8)
     assert sol.mu == pytest.approx(2.0, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "lam, tt",
+    [
+        ([2.0, 1.0, 0.0], [-1e-30, 1e-30, 0.0]),  # lmax + ||t||/2 rounds to lmax
+        ([2.0, 2.0, 0.0], [3e-17, -4e-17, 0.0]),  # and lambda_max is repeated
+        ([1e-14, 0.0], [0.0, 1e-14]),  # the whole spectrum is one cluster
+    ],
+)
+def test_secular_root_within_rounding_of_lambda_max(lam, tt):
+    # the secular root, if any, lies within 1e-15 * scale of lambda_max, below
+    # the lowest multiplier the root bracket admits
+    gen = np.random.default_rng(len(lam))
+    Q, _ = np.linalg.qr(gen.standard_normal((len(lam), len(lam))))
+    A = (Q * np.asarray(lam)) @ Q.T
+    A = 0.5 * (A + A.T)
+    t = Q @ np.asarray(tt)
+    sol = trs_max(A, t)
+    z, mu = sol.z, sol.mu
+    r = 2.0 * (mu * z - A @ z) - t
+    # mu >= lambda_max makes z the maximizer for the linear term t + r, so
+    # its value is within 2 ||r|| of the maximum; the dual reference is
+    # coarser than that at these scales
+    assert mu >= float(np.linalg.eigvalsh(A)[-1])
+    assert np.linalg.norm(r) <= 1e-13
+    assert abs(np.linalg.norm(z) - 1.0) <= 1e-15
+    assert sol.value == pytest.approx(float(z @ A @ z + t @ z), abs=1e-15)
 
 
 def test_rejects_nonsymmetric():
@@ -136,3 +174,125 @@ def test_lambda_set_monotone_and_singleton_bound():
         assert val >= max(A[i, i] + abs(t[i]) for i in S) - 1e-9
         j = next(i for i in range(D) if i not in S)
         assert val <= lambda_set(sorted(S + [j]), A, t).value + 1e-9
+
+
+def test_rejects_non_finite_input():
+    with pytest.raises(ValueError, match="finite"):
+        trs_max(np.eye(3), np.array([1.0, np.nan, 0.0]))
+    with pytest.raises(ValueError, match="finite"):
+        trs_max(np.diag([1.0, np.inf, 0.0]), np.ones(3))
+    with pytest.raises(ValueError, match="finite"):
+        lambda_set([0, 1], np.eye(3), np.array([np.nan, 1.0, 0.0]))
+
+
+def test_overflowed_certificate_raises():
+    # ||t|| overflows, so the residual and its bound are both inf; the true
+    # maximum is about 2.73e300, and no answer may pass as certified
+    with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="certificate"):
+        trs_max(1e300 * np.eye(3), 1e300 * np.ones(3))
+
+
+def _recording(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+def _secular_function(seed):
+    gen = np.random.default_rng(seed)
+    k = int(gen.integers(2, 9))
+    lam = np.sort(gen.standard_normal(k) * float(gen.choice([0.1, 1.0, 10.0])))
+    tt = gen.standard_normal(k)
+    tt[-1] *= float(gen.choice([1.0, 1e-3, 1e-6]))  # steep near lambda_max
+    lmax, tnorm = float(lam[-1]), float(np.linalg.norm(tt))
+
+    def f(mu):
+        return float(np.sum((tt / (2.0 * (mu - lam))) ** 2)) - 1.0
+
+    return f, lmax + 1e-15 * max(1.0, abs(lmax), tnorm), lmax + 0.5 * tnorm
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_brent_port_matches_scipy_bit_for_bit(seed):
+    f, lo, hi = _secular_function(seed)
+    ours, our_calls = _recording(f)
+    ref, ref_calls = _recording(f)
+    root = _brentq(ours, lo, hi)
+    want = brentq(ref, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    assert root == want
+    assert our_calls == ref_calls  # the same steps, not only the same root
+
+
+@pytest.mark.parametrize(
+    "f, lo, hi",
+    [
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (np.cos, 0.0, 3.0),
+        (lambda x: np.expm1(x) - 1e-9, -1.0, 4.0),
+        (lambda x: (x - 1.0) ** 5, 0.0, 3.5),
+    ],
+)
+def test_brent_port_matches_scipy_on_generic_functions(f, lo, hi):
+    ours, our_calls = _recording(f)
+    ref, ref_calls = _recording(f)
+    assert _brentq(ours, lo, hi) == brentq(ref, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    assert our_calls == ref_calls
+
+
+def test_brent_port_errors():
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(RuntimeError, match="converge"):
+        _brentq(lambda x: (x - 1.0) ** 5, 0.0, 3.5, maxiter=3)
+    with pytest.raises(RuntimeError):
+        brentq(lambda x: (x - 1.0) ** 5, 0.0, 3.5, xtol=1e-15, rtol=8.9e-16, maxiter=3)
+    assert _brentq(lambda x: x, 0.0, 1.0) == 0.0
+
+
+eigenvalues = st.one_of(
+    st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 2.0]),  # repeats make multiple leading eigenvalues
+    st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False),
+)
+coefficients = st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 6),  # k = 1 has a closed form
+    hard=st.booleans(),
+    basis_seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_oracle_matches_dual_value(k, hard, basis_seed, data):
+    lam = data.draw(hnp.arrays(np.float64, k, elements=eigenvalues))
+    tt = data.draw(hnp.arrays(np.float64, k, elements=coefficients))
+    if hard:
+        tt[lam == lam.max()] = 0.0  # t orthogonal to the leading eigenspace
+    Q, _ = np.linalg.qr(np.random.default_rng(basis_seed).standard_normal((k, k)))
+    A = (Q * lam) @ Q.T
+    A = 0.5 * (A + A.T)
+    t = Q @ tt
+    sol = trs_max(A, t)
+    assert abs(np.linalg.norm(sol.z) - 1.0) <= 1e-9
+    assert sol.kkt_residual <= 1e-6 * (1.0 + np.linalg.norm(t))
+    assert sol.mu >= float(np.linalg.eigvalsh(A)[-1]) - 1e-7
+    assert sol.value == pytest.approx(float(sol.z @ A @ sol.z + t @ sol.z), abs=1e-9)
+    assert sol.value == pytest.approx(dual_trs_value(A, t), rel=1e-8, abs=1e-8)
+
+
+def test_package_imports_no_scipy():
+    src = str(Path(mmdselect.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = (
+        "import sys, mmdselect, mmdselect.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert run.stdout.strip() == "[]"
