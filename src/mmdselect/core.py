@@ -60,6 +60,24 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_symmetric(A, name: str, tol: float) -> np.ndarray:
+    """``A`` as a float64 matrix with its symmetric part ``A/2 + A'/2``.
+
+    Raises ``ValueError`` unless ``A`` is square and ``max|A - A'|`` is at most
+    ``tol * max(1, max|A|)``.  An exactly symmetric ``A`` comes back as it is,
+    not copied.  Halving before adding cannot overflow.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"{name} must be a square matrix")
+    if (A == A.T).all():
+        return A
+    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
+    if float(np.max(np.abs(A - A.T))) > tol * scale:
+        raise ValueError(f"{name} must be symmetric")
+    return 0.5 * A + 0.5 * A.T
+
+
 @dataclass(frozen=True)
 class TwoSampleData:
     """Two groups of samples sharing the same variables (rows = observations)."""

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .core import RandomSource, SelectionVector, TwoSampleData, derive_stream, make_selection
 from .mmd import KernelSpec, mmd_sq
-from .spectrahedron import SpectraPoint, entropy_radius, prop1_step_rule, smd_run
+from .spectrahedron import SmdStats, SpectraPoint, entropy_radius, prop1_step_rule, smd_run
 
 DEFAULT_LAMBDA_GRID = (0.0, 0.01, 0.05, 0.1, 0.5)
 
@@ -114,9 +115,23 @@ class GaussianPairTerms:
         ii = gen.integers(0, self.n, size=batch)
         jj = gen.integers(0, self.m, size=batch)
         Dv = self.X[ii] - self.Y[jj]
-        expo = np.maximum(np.einsum("ij,jk,ik->i", Dv, Z, Dv), 0.0) / (2.0 * self.gamma)
+        expo = np.maximum(np.einsum("ij,ij->i", Dv @ Z, Dv), 0.0) / (2.0 * self.gamma)
         w = np.exp(-expo)
         return -2.0 * ((Dv.T * w) @ Dv) / (2.0 * self.gamma) / batch
+
+    def surrogate_grad(
+        self, Z: np.ndarray, gen: np.random.Generator, within: np.ndarray, lam: float, batch: int
+    ) -> np.ndarray:
+        """Symmetric estimate of the (sub)gradient of the surrogate plus
+        ``lam ||Z||_1``: the cross term exact when ``batch >= n*m``, else a
+        minibatch; ``within`` is the constant linearized within-group part.
+        The l1 subgradient at zero entries is taken as zero."""
+        if batch >= self.n * self.m:
+            cross = self.cross_grad_full(Z)
+        else:
+            cross = self.cross_grad_batch(Z, batch, gen)
+        G = cross + within + lam * np.sign(Z)
+        return 0.5 * G + 0.5 * G.T
 
 
 def _as_matrix(Z) -> np.ndarray:
@@ -169,22 +184,17 @@ def stochastic_gradient(
     gen: np.random.Generator,
     within_grad: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Estimate of the (sub)gradient of ``surrogate(.; Z0) + lam ||.||_1``.
+    """Estimate of the (sub)gradient of ``surrogate(.; Z0) + lam ||.||_1``,
+    by ``GaussianPairTerms.surrogate_grad``, the oracle ``ccp_select`` runs.
 
     ``batch >= n*m`` switches to the exact cross-term gradient.  The within
     part is the constant linearization gradient at ``Z0`` (precomputable via
-    ``within_grad``).  The l1 subgradient at zero entries is taken as zero.
+    ``within_grad``).
     """
-    Zm = _as_matrix(Z)
     terms = GaussianPairTerms(data, gamma)
     if within_grad is None:
         within_grad = terms.within_grad_at(_as_matrix(Z0))
-    if batch >= terms.n * terms.m:
-        cross = terms.cross_grad_full(Zm)
-    else:
-        cross = terms.cross_grad_batch(Zm, batch, gen)
-    G = cross + within_grad + lam * np.sign(Zm)
-    return 0.5 * (G + G.T)
+    return terms.surrogate_grad(_as_matrix(Z), gen, within_grad, lam, batch)
 
 
 def extract_selection(Z, d: int) -> SelectionVector:
@@ -295,25 +305,18 @@ def ccp_select(data: TwoSampleData, cfg: GaussConfig, d: int) -> CcpResult:
     radius = entropy_radius(D)
     traj = [_trace_point(0, point.Z, data, cfg.gamma, cfg.lam, 0.0)]
     gap = 0.0
+    base_rule = prop1_step_rule(max(cfg.T_in, 1), radius)
+    rule = lambda t, rm: cfg.step_scale * base_rule(t, rm)
     for outer in range(1, cfg.T_out + 1):
-        within = terms.within_grad_at(point.Z)
-        running = {"m": 1e-12}
-
-        def oracle(Zm, gen):
-            if cfg.batch >= terms.n * terms.m:
-                cross = terms.cross_grad_full(Zm)
-            else:
-                cross = terms.cross_grad_batch(Zm, cfg.batch, gen)
-            G = cross + within + cfg.lam * np.sign(Zm)
-            G = 0.5 * (G + G.T)
-            running["m"] = max(running["m"], float(np.linalg.norm(G, 2)))
-            return G
-
-        base_rule = prop1_step_rule(max(cfg.T_in, 1), radius)
-        rule = lambda t, rm: cfg.step_scale * base_rule(t, rm)
-        point = smd_run(oracle, point, cfg.T_in, step_rule=rule, rng=derive_stream(cfg.rng, outer))
+        oracle = partial(
+            terms.surrogate_grad, within=terms.within_grad_at(point.Z), lam=cfg.lam, batch=cfg.batch
+        )
+        stats = SmdStats()
+        point = smd_run(
+            oracle, point, cfg.T_in, step_rule=rule, rng=derive_stream(cfg.rng, outer), stats=stats
+        )
         # inner optimality gap estimate at kappa = 1/2: M sqrt(4 V / T)
-        gap = 2.0 * running["m"] * float(np.sqrt(radius / max(cfg.T_in, 1)))
+        gap = 2.0 * max(stats.grad_norm_max, 1e-12) * float(np.sqrt(radius / max(cfg.T_in, 1)))
         traj.append(_trace_point(outer, point.Z, data, cfg.gamma, cfg.lam, gap))
     selection = extract_selection(point, d)
     if abs(traj[-1].mmd_part) < 1e-6:

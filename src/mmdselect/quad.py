@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SelectionVector, TwoSampleData, make_selection
+from .core import _check_symmetric
 from .core import _freeze as _freeze_input
-from .spectrahedron import SpectraPoint, mirror_step
+from .spectrahedron import SpectraPoint, mirror_step, spectral_norm
 from .trs import TrsSolution, lambda_set, trs_max
 
 GREEDY = "greedy"
@@ -46,11 +47,9 @@ class QuadProblem:
     offset: float = 0.0
 
     def __post_init__(self):
-        A = _freeze_input(self.A)
+        A = _freeze_input(_check_symmetric(self.A, "A", 1e-10))
         t = _freeze_input(self.t)
         scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
-        if float(np.max(np.abs(A - A.T))) > 1e-10 * scale:
-            raise ValueError("A must be symmetric")
         if A.shape[0] != t.shape[0]:
             raise ValueError("A and t dimensions disagree")
         if float(np.linalg.eigvalsh(A)[0]) < -1e-8 * scale:
@@ -352,12 +351,12 @@ def relax_select(
         aW = np.abs(W)
         return np.maximum((aW / M).max(axis=1), aW.sum(axis=1) / sqd)
 
-    W = np.eye(D) / D
+    point = SpectraPoint.identity(D)
+    W = point.Z
     q = np.full(D, d / D)
     rho = cfg.penalty_init
     max_viol = np.inf
     for _ in range(cfg.max_rounds):
-        point = SpectraPoint(W, tau=1.0)
         for it in range(cfg.inner_steps):
             tWt = float(t @ point.Z @ t)
             G = A.copy()
@@ -367,7 +366,7 @@ def relax_select(
             sub = np.sign(point.Z) * (v_entry > 0)
             sub += np.sign(point.Z) * (v_row > 0)[:, None]
             G -= rho * 0.5 * (sub + sub.T)
-            opn = float(np.linalg.norm(G, 2))
+            opn = spectral_norm(G)
             step = np.sqrt(np.log(max(D, 2)) / cfg.inner_steps) / max(opn, 1e-12)
             point = mirror_step(point, -G, step)  # ascent
         W = point.Z

@@ -12,29 +12,31 @@ stated for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RandomSource
+from .core import RandomSource, _check_symmetric
 from .core import _freeze as _freeze_input
 
 
 @dataclass(frozen=True)
 class SpectraPoint:
-    """Symmetric PSD matrix with fixed trace ``tau``."""
+    """Symmetric PSD matrix with fixed trace ``tau``.
+
+    The constructor validates ``Z``.  Points built by ``mirror_step`` and
+    ``smd_run`` are feasible by construction and skip that check; a mirror
+    step's output also carries its eigenpairs, so the next step takes
+    ``log Z`` without decomposing ``Z``.
+    """
 
     Z: np.ndarray
     tau: float = 1.0
     eigen_floor: float | None = None
+    _eig: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        Z = _freeze_input(self.Z)
-        if Z.ndim != 2 or Z.shape[0] != Z.shape[1]:
-            raise ValueError("Z must be square")
-        scale = max(1.0, float(np.max(np.abs(Z))))
-        if float(np.max(np.abs(Z - Z.T))) > 1e-10 * scale:
-            raise ValueError("Z must be symmetric")
+        Z = _freeze_input(_check_symmetric(self.Z, "Z", 1e-10))
         if not self.tau > 0:
             raise ValueError("trace target must be positive")
         w = np.linalg.eigvalsh(Z)
@@ -42,44 +44,60 @@ class SpectraPoint:
             raise ValueError("Z must be positive semidefinite")
         if abs(float(np.trace(Z)) - self.tau) > 1e-9 * max(1.0, self.tau):
             raise ValueError("trace of Z must equal tau")
-        Z.flags.writeable = False
         object.__setattr__(self, "Z", Z)
         if self.eigen_floor is None:
             object.__setattr__(self, "eigen_floor", 1e-12 * self.tau)
+
+    @classmethod
+    def _built(cls, Z: np.ndarray, tau: float, eigen_floor: float, eig=None) -> "SpectraPoint":
+        """A point this module computed, taken without validation; ``eig`` is
+        ``(w, U)`` with ``Z = U diag(w) U'`` up to rounding."""
+        p = object.__new__(cls)
+        for a in (Z,) if eig is None else (Z, *eig):
+            a.flags.writeable = False
+        for name, value in (("Z", Z), ("tau", tau), ("eigen_floor", eigen_floor), ("_eig", eig)):
+            object.__setattr__(p, name, value)
+        return p
 
     @property
     def dim(self) -> int:
         return self.Z.shape[0]
 
+    def eigenpairs(self) -> tuple:
+        """``(w, U)``, ascending: the carried pair, else ``eigh(Z)``."""
+        return self._eig if self._eig is not None else np.linalg.eigh(self.Z)
+
     @classmethod
     def identity(cls, k: int, tau: float = 1.0) -> "SpectraPoint":
-        return cls(np.eye(k) * (tau / k), tau=tau)
+        p = cls(np.eye(k) * (tau / k), tau=tau)
+        return cls._built(p.Z, p.tau, p.eigen_floor, (np.full(k, tau / k), np.eye(k)))
 
 
-def _check_symmetric(G: np.ndarray) -> np.ndarray:
-    G = np.asarray(G, dtype=np.float64)
-    scale = max(1.0, float(np.max(np.abs(G))) if G.size else 0.0)
-    if G.ndim != 2 or G.shape[0] != G.shape[1] or float(np.max(np.abs(G - G.T))) > 1e-8 * scale:
-        raise ValueError("gradient must be a symmetric matrix")
-    return 0.5 * (G + G.T)
+def spectral_norm(G: np.ndarray) -> float:
+    """Operator 2-norm of a symmetric matrix: its largest |eigenvalue|."""
+    w = np.linalg.eigvalsh(G)
+    return float(max(-w[0], w[-1]))
 
 
 def mirror_step(p: SpectraPoint, G: np.ndarray, step: float) -> SpectraPoint:
-    """One entropic step against gradient ``G`` (descent direction)."""
-    G = _check_symmetric(G)
+    """One entropic step against gradient ``G`` (descent direction).
+
+    ``Z+ = U2 diag(e) U2' * tau / tr`` with ``(e, U2)`` from ``eigh(H)``, so the
+    step returns ``Z+`` with those eigenpairs and decomposes only ``H``.
+    """
+    G = _check_symmetric(G, "gradient", 1e-8)
     if G.shape[0] != p.dim:
         raise ValueError("gradient dimension mismatch")
-    w, U = np.linalg.eigh(p.Z)
-    w = np.maximum(w, p.eigen_floor)
-    logZ = (U * np.log(w)) @ U.T
+    w, U = p.eigenpairs()
+    logZ = (U * np.log(np.maximum(w, p.eigen_floor))) @ U.T
     H = logZ - step * G
     H = 0.5 * (H + H.T)
     w2, U2 = np.linalg.eigh(H)
     e = np.exp(w2 - float(np.max(w2)))  # shift-invariant after trace renorm
     Y = (U2 * e) @ U2.T
     Y = 0.5 * (Y + Y.T)
-    Znew = Y * (p.tau / float(np.trace(Y)))
-    return SpectraPoint(Znew, tau=p.tau, eigen_floor=p.eigen_floor)
+    c = p.tau / float(np.trace(Y))
+    return SpectraPoint._built(Y * c, p.tau, p.eigen_floor, (e * c, U2))
 
 
 def bregman(p1: SpectraPoint, p2: SpectraPoint) -> float:
@@ -88,10 +106,10 @@ def bregman(p1: SpectraPoint, p2: SpectraPoint) -> float:
         raise ValueError("dimension mismatch")
     if abs(p1.tau - p2.tau) > 1e-12 * max(1.0, p1.tau):
         raise ValueError("trace targets must agree")
-    w1, U1 = np.linalg.eigh(p1.Z)
+    w1, _ = p1.eigenpairs()
     w1f = np.maximum(w1, p1.eigen_floor)
     term1 = float(np.sum(w1f * np.log(w1f)))
-    w2, U2 = np.linalg.eigh(p2.Z)
+    w2, U2 = p2.eigenpairs()
     logY = (U2 * np.log(np.maximum(w2, p2.eigen_floor))) @ U2.T
     return term1 - float(np.sum(p1.Z * logY))
 
@@ -118,19 +136,30 @@ def prop1_step_rule(T: int, radius: float, m_star: float | None = None, safety: 
     return rule
 
 
+@dataclass
+class SmdStats:
+    """What ``smd_run`` saw: the largest gradient spectral norm, the ``M`` of
+    the step rule and of the optimality-gap bound."""
+
+    grad_norm_max: float = 0.0
+
+
 def smd_run(
     grad_oracle,
     p0: SpectraPoint,
     T_in: int,
     step_rule=None,
     rng: RandomSource | None = None,
+    stats: SmdStats | None = None,
 ) -> SpectraPoint:
     """Averaged stochastic mirror descent from ``p0``.
 
     ``grad_oracle(Z, gen)`` must return a symmetric matrix estimating a
     (sub)gradient at ``Z``; draws come from the generator spawned off ``rng``.
     Returns the uniform average of the ``T_in`` iterates, trace-renormalized.
-    ``T_in = 0`` returns the start point unchanged.
+    ``T_in = 0`` returns the start point unchanged.  A step decomposes the
+    gradient once (``eigvalsh``, for its norm) and ``H`` once (``eigh``);
+    ``stats``, when given, records the largest norm.
     """
     if T_in < 0:
         raise ValueError("T_in must be >= 0")
@@ -143,12 +172,12 @@ def smd_run(
     acc = np.zeros_like(p0.Z)
     running_max = 0.0
     for t in range(1, T_in + 1):
-        G = grad_oracle(point.Z, gen)
-        G = _check_symmetric(G)
-        running_max = max(running_max, float(np.linalg.norm(G, 2)))
+        G = _check_symmetric(grad_oracle(point.Z, gen), "gradient", 1e-8)
+        running_max = max(running_max, spectral_norm(G))
         point = mirror_step(point, G, float(step_rule(t, running_max)))
         acc += point.Z
-    avg = acc / T_in
-    avg = 0.5 * (avg + avg.T)
+    if stats is not None:
+        stats.grad_norm_max = max(stats.grad_norm_max, running_max)
+    avg = acc / T_in  # iterates are exactly symmetric, so is their sum
     avg *= p0.tau / float(np.trace(avg))
-    return SpectraPoint(avg, tau=p0.tau, eigen_floor=p0.eigen_floor)
+    return SpectraPoint._built(avg, p0.tau, p0.eigen_floor)

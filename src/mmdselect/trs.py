@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _check_symmetric
 from .core import _freeze as _freeze_input
 
 
@@ -36,16 +37,6 @@ class TrsSolution:
         z = _freeze_input(self.z)
         z.flags.writeable = False
         object.__setattr__(self, "z", z)
-
-
-def _check_symmetric(A: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A must be a square matrix")
-    scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
-    if float(np.max(np.abs(A - A.T))) > 1e-10 * scale:
-        raise ValueError("A must be symmetric")
-    return 0.5 * (A + A.T)
 
 
 def _canonical_sign(z: np.ndarray) -> np.ndarray:
@@ -176,26 +167,26 @@ def trs_max(A: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> TrsSolution:
     t = np.asarray(t, dtype=np.float64).reshape(-1)
     if not (np.isfinite(A).all() and np.isfinite(t).all()):
         raise ValueError("A and t must be finite")
-    A = _check_symmetric(A)
+    A = _check_symmetric(A, "A", 1e-10)
     k = A.shape[0]
     if t.shape[0] != k:
         raise ValueError("t must match the dimension of A")
     tnorm = float(np.linalg.norm(t))
 
     if k == 1:
+        lmax = float(A[0, 0])
         z = np.array([1.0 if t[0] >= 0 else -1.0])
-        mu = float(A[0, 0] + abs(t[0]) / 2.0)
-        value = float(A[0, 0] + abs(t[0]))
-        return TrsSolution(value, z, mu, _residual(A, t, z, mu), hard_case=bool(t[0] == 0.0))
-
-    lam, Q = np.linalg.eigh(A)
-    lmax = float(lam[-1])
-    if tnorm == 0.0:
-        z = _canonical_sign(Q[:, -1])
-        return TrsSolution(lmax, z, lmax, _residual(A, t, z, lmax), hard_case=True)
-
-    z, mu, hard = _secular(lam, Q, t, tnorm)
-    value = float(z @ A @ z + t @ z)
+        mu = lmax + abs(float(t[0])) / 2.0
+        value = lmax + abs(float(t[0]))
+        hard = bool(t[0] == 0.0)
+    else:
+        lam, Q = np.linalg.eigh(A)
+        lmax = float(lam[-1])
+        if tnorm == 0.0:
+            z = _canonical_sign(Q[:, -1])
+            return TrsSolution(lmax, z, lmax, _residual(A, t, z, lmax), hard_case=True)
+        z, mu, hard = _secular(lam, Q, t, tnorm)
+        value = float(z @ A @ z + t @ z)
     res = _residual(A, t, z, mu)
     bound = max(tol, 1e-6) * (1.0 + tnorm)
     # written so that a NaN residual or multiplier fails, as does an overflowed bound

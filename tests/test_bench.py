@@ -124,6 +124,17 @@ def test_power_worker_count_invariant():
     assert [p.values for p in s1.per_selector] == [p.values for p in s2.per_selector]
 
 
+def test_power_worker_count_invariant_gauss_ccp():
+    # mirror-descent iterates carry their eigenpairs; trials on the pool's
+    # threads must still reproduce the serial run exactly
+    gauss = Selector("gauss-ccp", 2, {"T_out": 2, "T_in": 20, "batch": 32})
+    cfg1 = small_config(selectors=(gauss,), trials=4, workers=1)
+    cfg2 = small_config(selectors=(gauss,), trials=4, workers=3)
+    s1 = run_power_experiment(cfg1)
+    s2 = run_power_experiment(cfg2)
+    assert [p.values for p in s1.per_selector] == [p.values for p in s2.per_selector]
+
+
 def test_recovery_oracle_selector_perfect():
     cfg = small_config(selectors=(OracleSelector((0, 1, 2), 3),), trials=3)
     summary = run_recovery_experiment(cfg)

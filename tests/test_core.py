@@ -6,6 +6,7 @@ from mmdselect.core import (
     RandomSource,
     SelectionVector,
     TwoSampleData,
+    _check_symmetric,
     derive_stream,
     load_two_sample,
     save_two_sample,
@@ -146,3 +147,32 @@ def test_selection_vector_immutable():
     sel = SelectionVector(np.array([1.0, 0.0]), d=1)
     with pytest.raises(ValueError):
         sel.z[0] = 2.0
+
+
+def test_check_symmetric_returns_exact_input_and_symmetrizes_near_input():
+    A = np.array([[2.0, 1.0], [1.0, 3.0]])
+    assert _check_symmetric(A, "A", 1e-10) is A
+    B = np.array([[2.0, 1.0], [1.0 + 1e-12, 3.0]])
+    S = _check_symmetric(B, "A", 1e-10)
+    assert np.array_equal(S, S.T)
+    assert S[0, 1] == 0.5 * 1.0 + 0.5 * (1.0 + 1e-12)
+
+
+def test_check_symmetric_halves_before_adding():
+    # 0.5 * (a + b) overflows for these two neighbours; a/2 + b/2 does not
+    a = 1.7e308
+    b = float(np.nextafter(a, 0.0))
+    S = _check_symmetric(np.array([[0.0, a], [b, 0.0]]), "A", 1e-10)
+    assert np.isfinite(S).all()
+    assert S[0, 1] == S[1, 0] == 0.5 * a + 0.5 * b
+
+
+def test_check_symmetric_errors_name_the_matrix():
+    with pytest.raises(ValueError, match="^gradient must be a square matrix$"):
+        _check_symmetric(np.ones((2, 3)), "gradient", 1e-8)
+    with pytest.raises(ValueError, match="^Z must be symmetric$"):
+        _check_symmetric(np.array([[1.0, 0.5], [0.0, 0.0]]), "Z", 1e-10)
+    # the tolerance scales with max(1, max|A|)
+    _check_symmetric(np.array([[1e6, 1.0], [1.0 + 1e-5, 0.0]]), "A", 1e-10)
+    with pytest.raises(ValueError, match="symmetric"):
+        _check_symmetric(np.array([[1e6, 1.0], [1.0 + 1e-3, 0.0]]), "A", 1e-10)

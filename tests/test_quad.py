@@ -29,6 +29,13 @@ def psd_instance(gen, D):
     return QuadProblem(A, t)
 
 
+def test_problem_rejects_asymmetric_or_non_square_matrix():
+    with pytest.raises(ValueError, match="symmetric"):
+        QuadProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+    with pytest.raises(ValueError, match="square"):
+        QuadProblem(np.ones((2, 3)), np.zeros(2))
+
+
 DIAG = QuadProblem(np.diag([5.0, 3.0, 1.0]), np.array([0.0, 2.0, 0.0]))
 
 

@@ -1,14 +1,22 @@
+from functools import partial
+
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from mmdselect.core import RandomSource
+from mmdselect.core import RandomSource, TwoSampleData
+from mmdselect.gauss import GaussianPairTerms
 from mmdselect.spectrahedron import (
+    SmdStats,
     SpectraPoint,
     bregman,
     entropy_radius,
     mirror_step,
     prop1_step_rule,
     smd_run,
+    spectral_norm,
 )
 
 
@@ -162,3 +170,78 @@ def test_objective_gap_decay_rate():
         gaps.append(out.Z[0, 0])
     slope = np.polyfit(np.log(Ts), np.log(gaps), 1)[0]
     assert slope <= -0.4
+
+
+def test_identity_carries_exact_eigenpairs():
+    w, U = SpectraPoint.identity(4, tau=2.0).eigenpairs()
+    assert np.array_equal(w, np.full(4, 0.5))
+    assert np.array_equal(U, np.eye(4))
+
+
+def well_conditioned_density(seed, k, tau):
+    B = np.random.default_rng(seed).standard_normal((k, k))
+    Z = B @ B.T + 0.1 * k * np.eye(k)
+    return SpectraPoint(Z * (tau / np.trace(Z)), tau=tau)
+
+
+bounded = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    k=st.integers(2, 6),
+    tau=st.floats(0.1, 10.0),
+    step=st.floats(1e-3, 0.5),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_mirror_step_carried_eigenpairs_match_fresh_decomposition(k, tau, step, seed, data):
+    G1, G2 = (data.draw(hnp.arrays(np.float64, (k, k), elements=bounded)) for _ in range(2))
+    G1, G2 = 0.5 * (G1 + G1.T), 0.5 * (G2 + G2.T)
+    q1 = mirror_step(well_conditioned_density(seed, k, tau), G1, step)
+    carried = mirror_step(q1, G2, step)  # log Z from the eigenpairs q1 carries
+    fresh = mirror_step(SpectraPoint(q1.Z, tau=tau), G2, step)  # from eigh(q1.Z)
+    assert np.max(np.abs(carried.Z - fresh.Z)) <= 1e-10 * tau
+    for q in (q1, carried):
+        assert np.array_equal(q.Z, q.Z.T)
+        assert float(np.linalg.eigvalsh(q.Z)[0]) >= -1e-12 * tau
+        assert float(np.trace(q.Z)) == pytest.approx(tau, rel=1e-12)
+        w, U = q.eigenpairs()
+        assert np.max(np.abs((U * w) @ U.T - q.Z)) <= 1e-12 * tau
+
+
+def _count_decompositions(monkeypatch):
+    counts = {"eigh": 0, "eigvalsh": 0, "svd": 0}
+    linalg_modules = [np.linalg, getattr(np.linalg, "_linalg", np.linalg)]  # norm(G, 2) calls svd inside
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in linalg_modules:
+            monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("T_in", [1, 7])
+def test_smd_step_decomposes_once(monkeypatch, T_in):
+    # the gaussian CCP oracle, as ccp_select builds it, on a 12-variable problem
+    gen = np.random.default_rng(71)
+    data = TwoSampleData(gen.standard_normal((20, 12)) + 0.5, gen.standard_normal((20, 12)))
+    terms = GaussianPairTerms(data, 3.0)
+    start = SpectraPoint.identity(12)
+    oracle = partial(terms.surrogate_grad, within=terms.within_grad_at(start.Z), lam=0.01, batch=16)
+    counts = _count_decompositions(monkeypatch)
+    smd_run(oracle, start, T_in, rng=RandomSource(3))
+    assert counts == {"eigh": T_in, "eigvalsh": T_in, "svd": 0}
+
+
+def test_smd_stats_record_largest_gradient_norm():
+    grads = [np.diag([0.5, -2.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.5, 0.0])]
+    it = iter(grads)
+    stats = SmdStats()
+    smd_run(lambda Z, g: next(it), SpectraPoint.identity(2), 3, rng=RandomSource(0), stats=stats)
+    assert stats.grad_norm_max == pytest.approx(2.0, rel=1e-15)
+    assert stats.grad_norm_max == max(spectral_norm(G) for G in grads)

@@ -192,6 +192,19 @@ def test_overflowed_certificate_raises():
         trs_max(1e300 * np.eye(3), 1e300 * np.ones(3))
 
 
+def test_k1_overflowed_value_raises():
+    # the closed-form k = 1 branch goes through the same certificate: ||t||
+    # overflows, and the maximum 2e308 may not come back as value=inf
+    with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="certificate"):
+        trs_max(np.array([[1e308]]), np.array([1e308]))
+
+
+def test_k1_certificate_recorded():
+    sol = trs_max(np.array([[2.0]]), np.array([-3.0]))
+    assert (sol.value, sol.mu, sol.kkt_residual, sol.hard_case) == (5.0, 3.5, 0.0, False)
+    assert sol.z.tolist() == [-1.0]
+
+
 def _recording(f):
     calls = []
 
