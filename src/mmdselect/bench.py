@@ -14,7 +14,9 @@ two groups, so the ground-truth informative set is the first block.  Modes:
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
+import functools
+import glob
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,6 +149,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.workers < 1:
+            raise ValueError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -159,8 +163,13 @@ class SelectorSummary:
 
 @dataclass(frozen=True)
 class ExperimentSummary:
+    """Per-selector results of a sweep.  ``parallel`` says how the trials
+    ran (see ``_map_trials``); it is left out of ``to_dict`` and of equality,
+    since the results never depend on it."""
+
     kind: str
     per_selector: tuple
+    parallel: dict | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -185,11 +194,105 @@ def _selector_kernel(sel, bandwidths: dict) -> KernelSpec:
     return kernel_for_solver(name, bandwidths.get(family))
 
 
+def _openblas_thread_functions():
+    """``(get, set)`` of the thread count of the OpenBLAS that numpy's wheel
+    bundles (``numpy.libs/libscipy_openblas*.so``), or ``None`` when there is
+    no such library.  numpy has loaded it already, so this binds the same
+    library numpy calls."""
+    import ctypes
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))):
+        suffix = "64_" if "openblas64" in os.path.basename(path) else ""
+        try:
+            lib = ctypes.CDLL(path)
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+def blas_threads() -> int | None:
+    """OpenBLAS thread count of this process; ``None`` when numpy's OpenBLAS
+    cannot be found."""
+    fns = _openblas_thread_functions()
+    return None if fns is None else int(fns[0]())
+
+
+def _pin_one_blas_thread() -> None:
+    """Pool-worker initializer: one OpenBLAS thread per worker process, so
+    that the workers do not oversubscribe the cores.  Does nothing when
+    numpy's OpenBLAS cannot be found."""
+    fns = _openblas_thread_functions()
+    if fns is not None:
+        fns[1](1)
+
+
 def _map_trials(fn, trials: int, workers: int):
-    if workers <= 1:
-        return [fn(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(trials)))
+    """``[fn(0), ..., fn(trials - 1)]`` and a record of how they ran.
+
+    With ``min(workers, trials)`` processes above one, the trials run on that
+    many spawned worker processes at one OpenBLAS thread each; the caller's
+    own thread count is left alone.  ``fn`` and its results must pickle.
+    Each trial draws from its own derived stream, so the rows do not depend
+    on the worker count.
+    """
+    processes = min(workers, trials)
+    if processes <= 1:
+        rows = [fn(t) for t in range(trials)]
+        return rows, {"workers": workers, "processes": 1, "blas_threads_per_process": blas_threads()}
+    # imported here: they add ~15-20 ms to `import mmdselect`
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        max_workers=processes,
+        mp_context=multiprocessing.get_context("spawn"),
+        initializer=_pin_one_blas_thread,
+    ) as ex:
+        rows = list(ex.map(fn, range(trials)))
+    pinned = None if blas_threads() is None else 1
+    return rows, {"workers": workers, "processes": processes, "blas_threads_per_process": pinned}
+
+
+def _power_trial(config: ExperimentConfig, t: int) -> list:
+    """Reject (1.0) or not (0.0) for each selector on trial ``t``'s dataset."""
+    trial_rng = derive_stream(config.rng, t)
+    spec = dataclasses.replace(config.spec, seed=derive_stream(trial_rng, 0))
+    data, _ = synth_block_gaussian(spec)
+    out = []
+    for sel in config.selectors:
+        rep = permutation_test(
+            data,
+            _selector_kernel(sel, config.bandwidths),
+            sel,
+            config.n_permutations,
+            config.alpha,
+            config.train_fraction,
+            derive_stream(trial_rng, 1),  # shared across selectors: common random numbers
+            corrected=config.corrected,
+        )
+        out.append(1.0 if rep.reject else 0.0)
+    return out
+
+
+def _recovery_trial(config: ExperimentConfig, t: int) -> list:
+    """``(fdp, ndp)`` of each selector on trial ``t``'s dataset."""
+    trial_rng = derive_stream(config.rng, t)
+    spec = dataclasses.replace(config.spec, seed=derive_stream(trial_rng, 0))
+    data, true_support = synth_block_gaussian(spec)
+    out = []
+    for sel in config.selectors:
+        kernel = _selector_kernel(sel, config.bandwidths)
+        kernel = resolve_kernel(kernel, data, getattr(sel, "d", None))
+        selection = sel.select(data, kernel, derive_stream(trial_rng, 1))
+        m = fdp_ndp(selection.support, true_support)
+        out.append((m.fdp, m.ndp))
+    return out
 
 
 def run_power_experiment(config: ExperimentConfig) -> ExperimentSummary:
@@ -199,27 +302,9 @@ def run_power_experiment(config: ExperimentConfig) -> ExperimentSummary:
     Trials use derived streams and an ordered reduction, so the summary is
     identical for any worker count.
     """
-
-    def one_trial(t: int):
-        trial_rng = derive_stream(config.rng, t)
-        spec = dataclasses.replace(config.spec, seed=derive_stream(trial_rng, 0))
-        data, _ = synth_block_gaussian(spec)
-        out = []
-        for k, sel in enumerate(config.selectors):
-            rep = permutation_test(
-                data,
-                _selector_kernel(sel, config.bandwidths),
-                sel,
-                config.n_permutations,
-                config.alpha,
-                config.train_fraction,
-                derive_stream(trial_rng, 1),  # shared across selectors: common random numbers
-                corrected=config.corrected,
-            )
-            out.append(1.0 if rep.reject else 0.0)
-        return out
-
-    rows = _map_trials(one_trial, config.trials, config.workers)
+    rows, parallel = _map_trials(
+        functools.partial(_power_trial, config), config.trials, config.workers
+    )
     per = []
     for k, sel in enumerate(config.selectors):
         vals = np.array([row[k] for row in rows])
@@ -231,28 +316,16 @@ def run_power_experiment(config: ExperimentConfig) -> ExperimentSummary:
                 values=tuple(float(v) for v in vals),
             )
         )
-    return ExperimentSummary(kind="power", per_selector=tuple(per))
+    return ExperimentSummary(kind="power", per_selector=tuple(per), parallel=parallel)
 
 
 def run_recovery_experiment(config: ExperimentConfig) -> ExperimentSummary:
     """Mean FDP/NDP of each selector against the generator's true support."""
     if config.spec.mode == "null":
         raise ValueError("recovery metrics need a non-null generator")
-
-    def one_trial(t: int):
-        trial_rng = derive_stream(config.rng, t)
-        spec = dataclasses.replace(config.spec, seed=derive_stream(trial_rng, 0))
-        data, true_support = synth_block_gaussian(spec)
-        out = []
-        for k, sel in enumerate(config.selectors):
-            kernel = _selector_kernel(sel, config.bandwidths)
-            kernel = resolve_kernel(kernel, data, getattr(sel, "d", None))
-            selection = sel.select(data, kernel, derive_stream(trial_rng, 1))
-            m = fdp_ndp(selection.support, true_support)
-            out.append((m.fdp, m.ndp))
-        return out
-
-    rows = _map_trials(one_trial, config.trials, config.workers)
+    rows, parallel = _map_trials(
+        functools.partial(_recovery_trial, config), config.trials, config.workers
+    )
     per = []
     for k, sel in enumerate(config.selectors):
         fdps = np.array([row[k][0] for row in rows])
@@ -273,7 +346,7 @@ def run_recovery_experiment(config: ExperimentConfig) -> ExperimentSummary:
                 values=tuple(float(v) for v in ndps),
             )
         )
-    return ExperimentSummary(kind="recovery", per_selector=tuple(per))
+    return ExperimentSummary(kind="recovery", per_selector=tuple(per), parallel=parallel)
 
 
 def prescreen_then_relax(

@@ -44,7 +44,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help="parallel trial workers (default: MMDSELECT_WORKERS or 1; results identical)",
+        help="trial worker processes (default: MMDSELECT_WORKERS or 1; results identical)",
     )
 
 
@@ -271,7 +271,7 @@ def _cmd_bench(args, kind: str) -> dict:
         n_permutations=args.n_permutations,
         train_fraction=args.train_fraction,
         rng=RandomSource(args.seed),
-        workers=args.workers or default_workers(),
+        workers=default_workers() if args.workers is None else args.workers,
         corrected=args.corrected_pvalue,
     )
     if kind == "bench-power":
@@ -298,6 +298,7 @@ def _cmd_bench(args, kind: str) -> dict:
             "seed": args.seed,
         },
         "summary": summary.to_dict(),
+        "diagnostics": {"parallel": summary.parallel},
     }
 
 

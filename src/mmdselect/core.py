@@ -258,8 +258,14 @@ def split_train_test(
 
 
 def default_workers() -> int:
-    """Worker count for parallel trial loops (results never depend on it)."""
+    """Worker count for parallel trial loops (results never depend on it):
+    ``MMDSELECT_WORKERS``, or 1 when it is unset or empty.  Raises
+    ``ValueError`` when it is not an integer >= 1."""
+    raw = os.environ.get("MMDSELECT_WORKERS") or "1"
     try:
-        return max(1, int(os.environ.get("MMDSELECT_WORKERS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"MMDSELECT_WORKERS must be an integer >= 1, got {raw!r}")
+    return workers

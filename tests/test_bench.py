@@ -1,9 +1,19 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mmdselect
 from mmdselect.bench import (
     ExperimentConfig,
     SynthSpec,
+    _map_trials,
+    _openblas_thread_functions,
+    blas_threads,
     block_parameters,
     fdp_ndp,
     prescreen_then_relax,
@@ -125,8 +135,8 @@ def test_power_worker_count_invariant():
 
 
 def test_power_worker_count_invariant_gauss_ccp():
-    # mirror-descent iterates carry their eigenpairs; trials on the pool's
-    # threads must still reproduce the serial run exactly
+    # mirror-descent iterates carry their eigenpairs; trials in the pool's
+    # processes must still reproduce the serial run exactly
     gauss = Selector("gauss-ccp", 2, {"T_out": 2, "T_in": 20, "batch": 32})
     cfg1 = small_config(selectors=(gauss,), trials=4, workers=1)
     cfg2 = small_config(selectors=(gauss,), trials=4, workers=3)
@@ -204,3 +214,123 @@ def test_prescreen_then_relax_small():
     assert len(rep.support) <= 2
     assert rep.method in ("relax", "prescreen+relax")
     assert abs(np.linalg.norm(rep.z.z) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_config_rejects_workers_below_one(workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        small_config(workers=workers)
+
+
+def _child_blas_threads(t):
+    # module-level, so that it pickles into the pool's worker processes
+    return blas_threads()
+
+
+class SelectorFault(RuntimeError):
+    pass
+
+
+class FailingSelector:
+    """Module-level, so that it pickles into the pool's worker processes."""
+
+    name = "failing"
+    d = 1
+
+    def select(self, train, kernel, rng):
+        raise SelectorFault("selector failed inside a worker")
+
+
+@pytest.mark.skipif(blas_threads() is None, reason="numpy's OpenBLAS not found")
+def test_pool_workers_run_one_blas_thread_and_leave_the_caller_alone():
+    get, put = _openblas_thread_functions()
+    before = get()
+    put(2)  # a caller count the pin would visibly change
+    try:
+        rows, parallel = _map_trials(_child_blas_threads, 2, 2)
+        assert rows == [1, 1]
+        assert parallel == {"workers": 2, "processes": 2, "blas_threads_per_process": 1}
+        summary = run_power_experiment(small_config(trials=2, workers=2))
+        assert summary.parallel["blas_threads_per_process"] == 1
+        assert get() == 2
+    finally:
+        put(before)
+
+
+def test_serial_sweep_reports_the_callers_blas_threads():
+    # one trial never starts a pool, whatever the worker count
+    summary = run_power_experiment(small_config(trials=1, workers=4))
+    assert summary.parallel == {
+        "workers": 4, "processes": 1, "blas_threads_per_process": blas_threads(),
+    }
+
+
+def test_worker_exception_reaches_the_caller():
+    cfg = small_config(selectors=(FailingSelector(),), trials=2, workers=2)
+    with pytest.raises(SelectorFault, match="inside a worker"):
+        run_recovery_experiment(cfg)
+
+
+def _subprocess_env(**overrides):
+    src = str(Path(mmdselect.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "MMDSELECT_WORKERS")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.update(overrides)
+    return env
+
+
+def test_package_import_loads_no_pool_modules():
+    script = (
+        "import sys, mmdselect, mmdselect.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert run.stdout.strip() == "[]"
+
+
+_SWEEP_SCRIPT = """
+import json
+from mmdselect import ExperimentConfig, RandomSource, SynthSpec
+from mmdselect import run_power_experiment, run_recovery_experiment
+from mmdselect.selectors import Selector
+
+power = (
+    Selector("linear", 3),
+    Selector("quad-greedy", 3),
+    Selector("gauss-ccp", 3, {"T_out": 2, "T_in": 10, "batch": 32}),
+)
+out = {}
+for workers in (1, 2):
+    p = run_power_experiment(ExperimentConfig(
+        spec=SynthSpec(blocks=20, n=40, m=40, mode="shift"), selectors=power,
+        trials=4, n_permutations=40, rng=RandomSource(9), workers=workers,
+    ))
+    r = run_recovery_experiment(ExperimentConfig(
+        spec=SynthSpec(blocks=6, n=40, m=40, mode="cov_shift"),
+        selectors=(Selector("quad-exact", 3),), trials=4, rng=RandomSource(9), workers=workers,
+    ))
+    out[workers] = [[s.name, s.values] for s in p.per_selector + r.per_selector]
+print(json.dumps(out))
+"""
+
+
+def test_trial_values_identical_across_workers_and_blas_threads():
+    runs = {}
+    for threads in (None, "1", "2"):
+        env = _subprocess_env(**({} if threads is None else {"OPENBLAS_NUM_THREADS": threads}))
+        run = subprocess.run(
+            [sys.executable, "-c", _SWEEP_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=600, check=True,
+        )
+        runs[threads] = json.loads(run.stdout)
+    ref = runs[None]["1"]
+    assert [name for name, _ in ref] == [
+        "linear", "quad-greedy", "gauss-ccp", "quad-exact:fdp", "quad-exact:ndp",
+    ]
+    assert all(len(values) == 4 for _, values in ref)
+    for threads, by_workers in runs.items():
+        for workers, values in by_workers.items():
+            assert values == ref, (threads, workers)

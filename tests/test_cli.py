@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mmdselect
+from mmdselect.bench import blas_threads
 from mmdselect.cli import dispatch
 from mmdselect.core import load_two_sample
 
@@ -125,7 +131,8 @@ def test_synth_deterministic(tmp_path):
     assert open(ay).read() == open(by).read()
 
 
-def test_bench_power_schema(tmp_path):
+def test_bench_power_schema(tmp_path, monkeypatch):
+    monkeypatch.delenv("MMDSELECT_WORKERS", raising=False)
     table = tmp_path / "table.tsv"
     code, doc = run(
         ["bench-power", "--blocks", "2", "--n", "14", "--m", "14", "--mode", "null",
@@ -137,6 +144,9 @@ def test_bench_power_schema(tmp_path):
     assert doc["summary"]["kind"] == "power"
     assert doc["summary"]["selectors"][0]["name"] == "linear"
     assert table.read_text().startswith("selector\t")
+    assert doc["diagnostics"]["parallel"] == {
+        "workers": 1, "processes": 1, "blas_threads_per_process": blas_threads(),
+    }
 
 
 def test_bench_recovery_schema(tmp_path):
@@ -156,6 +166,48 @@ def test_bench_recovery_null_mode_rejected(tmp_path, capsys):
          "--selectors", "linear", "--d", "3", "--trials", "1"]
     )
     assert code == 2
+
+
+BENCH_POWER = ["bench-power", "--blocks", "2", "--n", "14", "--m", "14", "--mode", "null",
+               "--selectors", "linear,quad-greedy", "--d", "2", "--trials", "3", "--np", "10",
+               "--seed", "4"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_bench_bad_workers_flag_exits_2(workers, capsys):
+    assert dispatch(BENCH_POWER + ["--workers", workers]) == 2
+    assert "workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "many"])
+def test_bench_bad_workers_env_exits_2(value, monkeypatch, capsys):
+    monkeypatch.setenv("MMDSELECT_WORKERS", value)
+    assert dispatch(BENCH_POWER) == 2
+    assert "MMDSELECT_WORKERS" in capsys.readouterr().err
+
+
+def test_bench_power_module_run_same_at_two_workers(tmp_path):
+    # `python -m mmdselect.cli` makes the CLI module __main__, which each
+    # spawned worker imports again
+    src = str(Path(mmdselect.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "MMDSELECT_WORKERS"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    docs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.json"
+        subprocess.run(
+            [sys.executable, "-m", "mmdselect.cli", *BENCH_POWER, "--workers", workers,
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        docs[workers] = json.loads(out.read_text())
+    parallel = {w: doc.pop("diagnostics").pop("parallel") for w, doc in docs.items()}
+    pinned = None if blas_threads() is None else 1
+    assert parallel["2"] == {"workers": 2, "processes": 2, "blas_threads_per_process": pinned}
+    assert parallel["1"]["workers"] == 1 and parallel["1"]["processes"] == 1
+    for doc in docs.values():
+        doc.pop("runtime_ms")
+    assert docs["1"] == docs["2"]
 
 
 def test_bench_unknown_selector_exits_2(tmp_path):

@@ -7,6 +7,7 @@ from mmdselect.core import (
     SelectionVector,
     TwoSampleData,
     _check_symmetric,
+    default_workers,
     derive_stream,
     load_two_sample,
     save_two_sample,
@@ -176,3 +177,19 @@ def test_check_symmetric_errors_name_the_matrix():
     _check_symmetric(np.array([[1e6, 1.0], [1.0 + 1e-5, 0.0]]), "A", 1e-10)
     with pytest.raises(ValueError, match="symmetric"):
         _check_symmetric(np.array([[1e6, 1.0], [1.0 + 1e-3, 0.0]]), "A", 1e-10)
+
+
+@pytest.mark.parametrize("value, expected", [(None, 1), ("", 1), ("3", 3)])
+def test_default_workers_reads_the_environment(monkeypatch, value, expected):
+    if value is None:
+        monkeypatch.delenv("MMDSELECT_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("MMDSELECT_WORKERS", value)
+    assert default_workers() == expected
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two", "1.5"])
+def test_default_workers_rejects_bad_values(monkeypatch, value):
+    monkeypatch.setenv("MMDSELECT_WORKERS", value)
+    with pytest.raises(ValueError, match="MMDSELECT_WORKERS must be an integer >= 1"):
+        default_workers()
