@@ -13,10 +13,14 @@ two groups, so the ground-truth informative set is the first block.  Modes:
 
 from __future__ import annotations
 
+import atexit
 import dataclasses
 import functools
 import glob
+import itertools
 import os
+import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,29 +236,120 @@ def _pin_one_blas_thread() -> None:
         fns[1](1)
 
 
+_POOL_LOCK = threading.Lock()
+_pool = None  # ((pid, processes), executor) of the last pool sweep
+
+
+@atexit.register
+def _close_pool() -> None:
+    """Shut the cached pool down and drop it; a forked child only drops the
+    copy it inherited.  Also run at exit, while the modules the pool uses
+    are still loaded: a pool left to the interpreter's teardown is collected
+    after them, and its clean-up callback then fails with an ignored
+    ``AttributeError``."""
+    global _pool
+    if _pool is not None and _pool[0][0] == os.getpid():
+        _pool[1].shutdown()
+    _pool = None
+
+
+def _main_for_workers():
+    """The module name or path of ``__main__`` that each spawned worker
+    re-runs before its first trial, or ``None`` when it re-runs nothing
+    (``-c``, the interactive prompt, a package's ``__main__``)."""
+    main = sys.modules["__main__"]
+    spec = getattr(main, "__spec__", None)
+    if spec is not None:
+        return None if spec.name.rpartition(".")[2] == "__main__" else spec.name
+    return getattr(main, "__file__", None)
+
+
+def _trial_pool(processes: int):
+    """The process pool of this process for ``processes`` workers, built on
+    first use and kept for later sweeps; a pool of another size is shut
+    down first.  A forked child builds its own pool."""
+    global _pool
+    key = (os.getpid(), processes)
+    if _pool is not None and _pool[0] == key:
+        return _pool[1]
+    _close_pool()
+    main = sys.modules["__main__"]
+    path = getattr(main, "__file__", None)
+    if getattr(main, "__spec__", None) is None and path is not None and not os.path.isfile(path):
+        raise RuntimeError(
+            f"cannot start trial worker processes: each one re-runs the main script, "
+            f"and {path!r} is not a file (a script read from stdin?); run the script "
+            f"from a file, or use workers=1"
+        )
+    # imported here: they add ~15-20 ms to `import mmdselect`
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    executor = ProcessPoolExecutor(
+        max_workers=processes,
+        mp_context=multiprocessing.get_context("spawn"),
+        initializer=_pin_one_blas_thread,
+    )
+    _pool = (key, executor)
+    return executor
+
+
+def _pool_map(fn, trials: int, processes: int) -> list:
+    """``[fn(0), ..., fn(trials - 1)]`` on the cached pool.  At most one
+    trial more than there are workers is in flight, so a worker that finishes
+    finds the next trial queued, and a failed sweep leaves at most
+    ``processes`` trials behind on the shared pool: on the first failure it
+    submits nothing more, cancels what has not started and re-raises.  A
+    broken pool is dropped from the cache, so the next sweep starts afresh."""
+    from concurrent.futures import FIRST_COMPLETED, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    with _POOL_LOCK:
+        pool = _trial_pool(processes)
+        rows = [None] * trials
+        todo = iter(range(trials))
+        running = {}
+        try:
+            for t in itertools.islice(todo, processes + 1):
+                running[pool.submit(fn, t)] = t
+            while running:
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for fut in done:
+                    rows[running.pop(fut)] = fut.result()
+                    t = next(todo, None)
+                    if t is not None:
+                        running[pool.submit(fn, t)] = t
+        except BrokenProcessPool as exc:
+            _close_pool()
+            main = _main_for_workers()
+            if main is None:
+                raise
+            raise BrokenProcessPool(
+                f"{exc} Each worker re-runs the main module {main!r} before its first "
+                f"trial: if that module starts a sweep outside an "
+                f'`if __name__ == "__main__":` guard, the workers die while starting.'
+            ) from exc
+        finally:
+            for fut in running:
+                fut.cancel()
+    return rows
+
+
 def _map_trials(fn, trials: int, workers: int):
     """``[fn(0), ..., fn(trials - 1)]`` and a record of how they ran.
 
     With ``min(workers, trials)`` processes above one, the trials run on that
     many spawned worker processes at one OpenBLAS thread each; the caller's
-    own thread count is left alone.  ``fn`` and its results must pickle.
-    Each trial draws from its own derived stream, so the rows do not depend
-    on the worker count.
+    own thread count is left alone.  The workers are started by the first
+    such sweep of the process and kept for the next ones.  ``fn`` and its
+    results must pickle.  Each trial draws from its own derived stream, so
+    the rows do not depend on the worker count.
     """
     processes = min(workers, trials)
     if processes <= 1:
         rows = [fn(t) for t in range(trials)]
         return rows, {"workers": workers, "processes": 1, "blas_threads_per_process": blas_threads()}
-    # imported here: they add ~15-20 ms to `import mmdselect`
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(
-        max_workers=processes,
-        mp_context=multiprocessing.get_context("spawn"),
-        initializer=_pin_one_blas_thread,
-    ) as ex:
-        rows = list(ex.map(fn, range(trials)))
+    rows = _pool_map(fn, trials, processes)
     pinned = None if blas_threads() is None else 1
     return rows, {"workers": workers, "processes": processes, "blas_threads_per_process": pinned}
 

@@ -40,12 +40,6 @@ class UsageError(Exception):
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master seed for all randomness")
     p.add_argument("--out", type=str, default=None, help="write the JSON report here")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="trial worker processes (default: MMDSELECT_WORKERS or 1; results identical)",
-    )
 
 
 def _add_selection_args(p: argparse.ArgumentParser) -> None:
@@ -115,6 +109,12 @@ def build_parser() -> argparse.ArgumentParser:
         pb.add_argument("--train-fraction", type=float, default=0.5)
         pb.add_argument("--corrected-pvalue", action="store_true")
         pb.add_argument("--table", default=None, help="also write a delimited summary table")
+        pb.add_argument(
+            "--workers",
+            type=int,
+            default=None,
+            help="trial worker processes (default: MMDSELECT_WORKERS or 1; results identical)",
+        )
         _add_common(pb)
 
     return ap

@@ -1,7 +1,11 @@
+import functools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -334,3 +338,170 @@ def test_trial_values_identical_across_workers_and_blas_threads():
     for threads, by_workers in runs.items():
         for workers, values in by_workers.items():
             assert values == ref, (threads, workers)
+
+
+def _worker_pid(t):
+    return os.getpid()
+
+
+def _exit_on_trial_one(t):
+    if t == 1:
+        os._exit(3)
+    return os.getpid()
+
+
+def _fail_first_mark_rest(marker_dir, t):
+    if t == 0:
+        raise SelectorFault("trial 0 fails")
+    Path(marker_dir, f"trial-{t}").touch()
+    time.sleep(0.5)  # long enough that trial 0's failure is seen first
+    return t
+
+
+def _pool_pids():
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def test_consecutive_sweeps_run_on_the_same_workers():
+    first, _ = _map_trials(_worker_pid, 4, 2)
+    pids = _pool_pids()
+    second, _ = _map_trials(_worker_pid, 4, 2)
+    assert len(pids) == 2 and os.getpid() not in pids
+    assert _pool_pids() == pids
+    assert set(first) | set(second) <= pids
+
+
+def test_another_process_count_replaces_the_pool():
+    _map_trials(_worker_pid, 2, 2)
+    two = _pool_pids()
+    rows, parallel = _map_trials(_worker_pid, 3, 3)
+    three = _pool_pids()
+    assert parallel["processes"] == 3
+    assert len(two) == 2 and len(three) == 3 and two.isdisjoint(three)
+    assert set(rows) <= three
+
+
+def test_sweep_after_a_broken_pool_starts_fresh_workers():
+    _map_trials(_worker_pid, 2, 2)
+    before = _pool_pids()
+    with pytest.raises(BrokenProcessPool):
+        _map_trials(_exit_on_trial_one, 4, 2)
+    rows, _ = _map_trials(_worker_pid, 4, 2)
+    after = _pool_pids()
+    assert len(after) == 2 and after.isdisjoint(before)
+    assert set(rows) <= after
+
+
+def test_failed_sweep_leaves_no_queued_trials(tmp_path):
+    processes = 2
+    with pytest.raises(SelectorFault, match="trial 0 fails"):
+        _map_trials(functools.partial(_fail_first_mark_rest, str(tmp_path)), 12, processes)
+    # queued behind whatever the failed sweep left on the pool
+    _map_trials(_worker_pid, processes, processes)
+    assert len(list(tmp_path.iterdir())) <= processes
+
+
+_TWO_SWEEPS_SCRIPT = """
+import json, multiprocessing, os
+from mmdselect.bench import _map_trials
+
+def worker_pid(t):
+    return os.getpid()
+
+if __name__ == "__main__":
+    pids = set()
+    for _ in range(2):
+        _map_trials(worker_pid, 4, 2)
+        pids |= {p.pid for p in multiprocessing.active_children()}
+    print(json.dumps(sorted(pids)))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_pool_workers_end_with_their_process(tmp_path):
+    script = tmp_path / "two_sweeps.py"
+    script.write_text(_TWO_SWEEPS_SCRIPT)
+    run = subprocess.run(
+        [sys.executable, str(script)],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120, check=True,
+    )
+    pids = json.loads(run.stdout)
+    assert len(pids) == 2  # both sweeps ran on one pool
+    for pid in pids:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            continue
+        assert stat.rpartition(")")[2].split()[0] == "Z", stat
+
+
+_FORK_SCRIPT = """
+import json, multiprocessing, os, sys
+from mmdselect.bench import _map_trials
+
+def worker_pid(t):
+    return os.getpid()
+
+if __name__ == "__main__":
+    _map_trials(worker_pid, 2, 2)
+    parent_pool = {p.pid for p in multiprocessing.active_children()}
+    r, w = os.pipe()
+    child = os.fork()
+    if child == 0:
+        rows, _ = _map_trials(worker_pid, 2, 2)
+        os.write(w, json.dumps(rows).encode())
+        sys.exit(0)
+    os.close(w)
+    child_rows = json.loads(os.read(r, 4096))
+    os.waitpid(child, 0)
+    rows, _ = _map_trials(worker_pid, 2, 2)
+    print(json.dumps([sorted(parent_pool), child_rows, rows]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_builds_its_own_pool(tmp_path):
+    script = tmp_path / "fork_sweep.py"
+    script.write_text(_FORK_SCRIPT)
+    run = subprocess.run(
+        [sys.executable, str(script)],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120, check=True,
+    )
+    parent_pool, child_rows, rows = json.loads(run.stdout)
+    assert len(parent_pool) == 2
+    assert set(child_rows).isdisjoint(parent_pool)
+    assert set(rows) <= set(parent_pool)  # the parent's pool survives the child
+
+
+_UNGUARDED_SWEEP = """
+from mmdselect import ExperimentConfig, RandomSource, SynthSpec, run_power_experiment
+from mmdselect.selectors import Selector
+
+run_power_experiment(ExperimentConfig(
+    spec=SynthSpec(blocks=2, n=16, m=16), selectors=(Selector("linear", 2),),
+    trials=2, n_permutations=20, rng=RandomSource(1), workers=2,
+))
+"""
+
+
+def _last_stderr_line(argv, tmp_path, **kw):
+    run = subprocess.run(
+        argv, env=_subprocess_env(), cwd=tmp_path, capture_output=True, text=True,
+        timeout=120, **kw,
+    )
+    assert run.returncode == 1, run.stderr
+    return run.stderr.strip().splitlines()[-1]
+
+
+def test_sweep_read_from_stdin_says_why_no_pool_starts(tmp_path):
+    last = _last_stderr_line([sys.executable, "-"], tmp_path, input=_UNGUARDED_SWEEP)
+    assert last.startswith("RuntimeError: cannot start trial worker processes")
+    assert "'<stdin>' is not a file" in last
+
+
+def test_unguarded_script_names_the_main_guard(tmp_path):
+    script = tmp_path / "unguarded.py"
+    script.write_text(_UNGUARDED_SWEEP)
+    last = _last_stderr_line([sys.executable, str(script)], tmp_path)
+    assert last.startswith("concurrent.futures.process.BrokenProcessPool:")
+    assert str(script) in last and 'if __name__ == "__main__":' in last

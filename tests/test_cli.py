@@ -186,6 +186,18 @@ def test_bench_bad_workers_env_exits_2(value, monkeypatch, capsys):
     assert "MMDSELECT_WORKERS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["select", "test", "synth"])
+def test_workers_flag_only_on_bench_commands(command, csv_pair, tmp_path, capsys):
+    px, py = csv_pair
+    if command == "synth":
+        argv = ["synth", "--blocks", "1", "--n", "3", "--m", "3",
+                "--out-x", str(tmp_path / "sx.csv"), "--out-y", str(tmp_path / "sy.csv")]
+    else:
+        argv = [command, "--solver", "linear", "--d", "1", "--x", px, "--y", py]
+    assert dispatch(argv + ["--workers", "1"]) == 2
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
 def test_bench_power_module_run_same_at_two_workers(tmp_path):
     # `python -m mmdselect.cli` makes the CLI module __main__, which each
     # spawned worker imports again
