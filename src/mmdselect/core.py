@@ -163,35 +163,52 @@ def make_selection(z: np.ndarray, d: int, no_signal: bool = False) -> SelectionV
     return SelectionVector(z / nrm, d, no_signal=no_signal)
 
 
-def _parse_table(path: str) -> np.ndarray:
-    """Parse a comma-delimited numeric table; a non-numeric first row is a header."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = [line.rstrip("\n").rstrip("\r") for line in fh]
-    rows = [(i + 1, line) for i, line in enumerate(raw) if line.strip() != ""]
-    if not rows:
+def _numbered_lines(fh):
+    """``(line number, line)`` for each line of ``fh`` that is not blank."""
+    for lineno, line in enumerate(fh, 1):
+        if line.strip():
+            yield lineno, line.rstrip("\n")
+
+
+def _parse_row(lineno: int, line: str):
+    """``(values, None)``, or ``(None, (row, column, cell))`` naming the first
+    cell that ``float()`` rejects."""
+    vals = []
+    for j, cell in enumerate(line.split(",")):
+        cell = cell.strip()
+        try:
+            vals.append(float(cell))
+        except ValueError:
+            return None, (lineno, j + 1, cell)
+    return vals, None
+
+
+def _first_data_line(path: str, rows):
+    """The first data line of ``rows``: the first non-blank line, or the next
+    one when the first has a cell that ``float()`` rejects (a header).  Raises
+    ``DataFormatError`` when there is none."""
+    first = next(rows, None)
+    if first is None:
         raise DataFormatError(f"{path}: empty file")
+    if _parse_row(*first)[1] is None:
+        return first
+    data = next(rows, None)
+    if data is None:
+        raise DataFormatError(f"{path}: empty file (header only)")
+    return data
 
-    def parse_row(lineno, line):
-        cells = [c.strip() for c in line.split(",")]
-        vals = []
-        for j, c in enumerate(cells):
-            try:
-                vals.append(float(c))
-            except ValueError:
-                return None, (lineno, j + 1, c)
-        return vals, None
 
-    first_vals, first_err = parse_row(*rows[0])
-    start = 0
-    if first_err is not None:
-        start = 1  # header row
-        if len(rows) == 1:
-            raise DataFormatError(f"{path}: empty file (header only)")
-
+def _parse_rows(path: str) -> np.ndarray:
+    """The table grammar, one row at a time: every cell goes through
+    ``float()``, and the error names the row, column and cell at fault."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        # decode the whole file before any cell error, as _parse_table does
+        rows = iter(list(_numbered_lines(fh)))
+    first_data = _first_data_line(path, rows)
     data = []
     width = None
-    for lineno, line in rows[start:]:
-        vals, err = parse_row(lineno, line)
+    for lineno, line in [first_data, *rows]:
+        vals, err = _parse_row(lineno, line)
         if err is not None:
             lno, col, cell = err
             raise DataFormatError(f"{path}: non-numeric cell {cell!r} at row {lno}, column {col}")
@@ -203,6 +220,31 @@ def _parse_table(path: str) -> np.ndarray:
             )
         data.append(vals)
     return np.array(data, dtype=np.float64)
+
+
+def _parse_table(path: str) -> np.ndarray:
+    """Parse a comma-delimited numeric table; a non-numeric first row is a header.
+
+    Blank and whitespace-only lines are skipped and a UTF-8 byte-order mark
+    is ignored.  numpy's C reader parses the non-blank lines after the
+    header.  A table it refuses (``float()`` spellings such as ``1_000``, bad
+    cells, ragged rows), or reads into another shape, is parsed again by
+    :func:`_parse_rows`, which returns the array or raises the error that
+    names the row, column and cell.
+    """
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        rows = _numbered_lines(fh)
+        first_data = _first_data_line(path, rows)
+        n_rows = 1 + sum(1 for _ in rows)
+        fh.seek(0)
+        data_lines = (line for lineno, line in _numbered_lines(fh) if lineno >= first_data[0])
+        try:
+            table = np.loadtxt(data_lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            table = None
+    if table is None or table.shape != (n_rows, first_data[1].count(",") + 1):
+        return _parse_rows(path)
+    return table
 
 
 def load_two_sample(path_x: str, path_y: str) -> TwoSampleData:
@@ -223,8 +265,8 @@ def save_matrix(path: str, M: np.ndarray, header: list[str] | None = None) -> No
     with open(path, "w", encoding="utf-8") as fh:
         if header is not None:
             fh.write(",".join(header) + "\n")
-        for row in M:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        for row in M.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def save_two_sample(data: TwoSampleData, path_x: str, path_y: str) -> None:

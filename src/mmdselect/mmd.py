@@ -185,12 +185,10 @@ def median_heuristic(data: TwoSampleData) -> float:
     Computed on full-dimensional points.  The gaussian default bandwidth is
     this value; the quadratic default is ``sqrt(median)/2``.
     """
-    d2 = (
-        np.sum(data.X**2, axis=1)[:, None]
-        + np.sum(data.Y**2, axis=1)[None, :]
-        - 2.0 * data.X @ data.Y.T
-    )
-    med = float(np.median(np.maximum(d2, 0.0)))
+    d2 = np.add.outer(np.sum(data.X**2, axis=1), np.sum(data.Y**2, axis=1))
+    d2 -= 2.0 * data.X @ data.Y.T
+    np.maximum(d2, 0.0, out=d2)
+    med = float(np.median(d2, overwrite_input=True))
     if med <= 0.0:
         raise DegenerateBandwidthError(
             "median cross-group distance is zero; supply a bandwidth explicitly"

@@ -13,7 +13,6 @@ reported objective values are translated back to the unshifted problem.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -454,36 +453,3 @@ def approximation_gap(
         envelope=envelope,
         slack=float(envelope - relax_value),
     )
-
-
-def dump_instance(qp: QuadProblem, d: int) -> str:
-    """Plain-text dump of (A, t, d) for cross-solver comparison."""
-    buf = io.StringIO()
-    D = qp.dim
-    buf.write(f"{D} {d}\n")
-    for row in qp.A:
-        buf.write(" ".join(repr(float(v)) for v in row) + "\n")
-    buf.write(" ".join(repr(float(v)) for v in qp.t) + "\n")
-    buf.write(f"{qp.shift!r} {qp.offset!r}\n")
-    return buf.getvalue()
-
-
-def load_instance(text: str) -> tuple[QuadProblem, int]:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    D, d = (int(v) for v in lines[0].split())
-    if len(lines) != D + 3:
-        raise ValueError("malformed instance dump")
-    A = np.array([[float(v) for v in lines[1 + i].split()] for i in range(D)])
-    t = np.array([float(v) for v in lines[1 + D].split()])
-    shift, offset = (float(v) for v in lines[2 + D].split())
-    return QuadProblem(A, t, shift=shift, offset=offset), d
-
-
-def save_instance_file(path: str, qp: QuadProblem, d: int) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_instance(qp, d))
-
-
-def load_instance_file(path: str) -> tuple[QuadProblem, int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_instance(fh.read())

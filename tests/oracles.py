@@ -3,11 +3,15 @@
 Nothing here imports solver internals: the sphere maximum comes from the 1-D
 convex dual evaluated in the eigenbasis, subset selection from exhaustive
 enumeration, low-dimensional maxima from refined grid search, and permutation
-statistics from the three sub-blocks of the pooled Gram matrix.
+statistics from the three sub-blocks of the pooled Gram matrix.  The table
+writer and the median heuristic are written out cell by cell and one
+temporary per operation, the forms the library's versions must match bit for
+bit.  The plain-text dump of quadratic instances is I/O that only tests use.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 
 import numpy as np
@@ -15,6 +19,7 @@ from scipy.optimize import minimize_scalar
 
 from mmdselect.core import derive_stream
 from mmdselect.mmd import gram
+from mmdselect.quad import QuadProblem
 
 
 def dual_trs_value(A: np.ndarray, t: np.ndarray) -> float:
@@ -133,3 +138,53 @@ def gram_permutation_stats(kernel, z, test, perm_root, n_permutations: int):
         p = derive_stream(perm_root, t).generator().permutation(N)
         permuted.append(gram_block_stat(G, p[:n], p[n:]))
     return gram_block_stat(G, base[:n], base[n:]), np.array(permuted), float(np.abs(G).max())
+
+
+def save_matrix_reference(path: str, M: np.ndarray, header: list[str] | None = None) -> None:
+    """The table writer cell by cell: ``repr(float(v))`` of each numpy scalar."""
+    M = np.asarray(M, dtype=np.float64)
+    with open(path, "w", encoding="utf-8") as fh:
+        if header is not None:
+            fh.write(",".join(header) + "\n")
+        for row in M:
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def median_heuristic_reference(X: np.ndarray, Y: np.ndarray) -> float:
+    """Median of the clamped squared cross-group distances, one temporary per
+    operation."""
+    d2 = np.sum(X**2, axis=1)[:, None] + np.sum(Y**2, axis=1)[None, :] - 2.0 * X @ Y.T
+    return float(np.median(np.maximum(d2, 0.0)))
+
+
+def dump_instance(qp: QuadProblem, d: int) -> str:
+    """Plain-text dump of (A, t, d) for cross-solver comparison."""
+    buf = io.StringIO()
+    D = qp.dim
+    buf.write(f"{D} {d}\n")
+    for row in qp.A:
+        buf.write(" ".join(repr(float(v)) for v in row) + "\n")
+    buf.write(" ".join(repr(float(v)) for v in qp.t) + "\n")
+    buf.write(f"{qp.shift!r} {qp.offset!r}\n")
+    return buf.getvalue()
+
+
+def load_instance(text: str) -> tuple[QuadProblem, int]:
+    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    D, d = (int(v) for v in lines[0].split())
+    if len(lines) != D + 3:
+        raise ValueError("malformed instance dump")
+    A = np.array([[float(v) for v in lines[1 + i].split()] for i in range(D)])
+    t = np.array([float(v) for v in lines[1 + D].split()])
+    shift, offset = (float(v) for v in lines[2 + D].split())
+    return QuadProblem(A, t, shift=shift, offset=offset), d
+
+
+def save_instance_file(path: str, qp: QuadProblem, d: int) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(dump_instance(qp, d))
+
+
+def load_instance_file(path: str) -> tuple[QuadProblem, int]:
+    with open(path, "r", encoding="utf-8") as fh:
+        return load_instance(fh.read())

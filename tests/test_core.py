@@ -1,18 +1,26 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+import mmdselect.core as core
 from mmdselect.core import (
     DataFormatError,
     RandomSource,
     SelectionVector,
     TwoSampleData,
     _check_symmetric,
+    _parse_rows,
+    _parse_table,
     default_workers,
     derive_stream,
     load_two_sample,
+    save_matrix,
     save_two_sample,
     split_train_test,
 )
+
+from oracles import save_matrix_reference
 
 
 def write(tmp_path, name, text):
@@ -73,6 +81,123 @@ def test_round_trip_bit_exact(tmp_path):
     back = load_two_sample(px, py)
     assert np.array_equal(back.X, data.X)
     assert np.array_equal(back.Y, data.Y)
+
+
+@pytest.mark.parametrize("parse", [_parse_table, _parse_rows])
+def test_load_byte_order_mark_is_ignored(tmp_path, parse):
+    # float("\ufeff1") fails: read without dropping the BOM, row 1 passes for a header
+    numeric = write(tmp_path, "x.csv", "\ufeff1,2\n3,4\n")
+    assert np.array_equal(parse(numeric), [[1.0, 2.0], [3.0, 4.0]])
+    headed = write(tmp_path, "y.csv", "\ufeffalpha,beta\n1,2\n")
+    assert np.array_equal(parse(headed), [[1.0, 2.0]])
+
+
+def test_load_float_spellings_numpy_rejects(tmp_path):
+    px = write(tmp_path, "x.csv", "1_000,١٢\n\n  \n+.5, nan \n")
+    got = _parse_table(px)
+    assert got.shape == (2, 2)
+    assert got[0].tolist() == [1000.0, 12.0] and got[1, 0] == 0.5 and np.isnan(got[1, 1])
+
+
+@pytest.mark.parametrize(
+    "header, bom, tail", [(None, "", ""), ([f"v{j}" for j in range(60)], "\ufeff", "\n \t\xa0\n")]
+)
+def test_well_formed_table_parses_only_its_first_line_in_python(
+    tmp_path, monkeypatch, header, bom, tail
+):
+    M = np.random.default_rng(1).standard_normal((2000, 60))
+    path = tmp_path / "x.csv"
+    save_matrix(str(path), M, header)
+    path.write_text(bom + path.read_text(encoding="utf-8") + tail, encoding="utf-8")
+    calls = []
+    row_parser = core._parse_row
+
+    def counted(lineno, line):
+        calls.append(lineno)
+        return row_parser(lineno, line)
+
+    monkeypatch.setattr(core, "_parse_row", counted)
+    got = _parse_table(str(path))
+    assert calls == [1]
+    assert got.tobytes() == M.tobytes() and got.shape == M.shape
+
+
+def test_a_reader_result_of_the_wrong_shape_goes_to_the_row_parser(tmp_path, monkeypatch):
+    px = write(tmp_path, "x.csv", "a,b\n1,2\n3,4\n")
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: loadtxt(*a, **kw)[1:])
+    assert np.array_equal(_parse_table(px), [[1.0, 2.0], [3.0, 4.0]])
+
+
+_EDGE_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+    0.1, 1e-5, 1e16, 1e308, 1.7976931348623157e308, 123456789.0, -3.0,
+    float("inf"), float("-inf"), float("nan"),
+]
+_SPELLINGS = [
+    "1_000", " nan ", "Infinity", "-infinity", "0x1p3", "1e400", "-1e400", "1e-400",
+    "+.5", "1.", "-0", "", " ", "١٢", "٣.٥", "1\xa0", " 1", " 1\u3000",
+    "1\x0c", "nan(1)", "1 2", "abc", "\ufeff1", "1e", ".", "+-1",
+]
+_CELLS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS).map(repr),
+    st.floats(width=64).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(_SPELLINGS),
+)
+_BLANKS = st.sampled_from(["", "", "   ", "\t", "\xa0", " "])
+
+
+@st.composite
+def _tables(draw):
+    width = draw(st.integers(1, 4))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(draw(st.sampled_from(["a", "x1", "alpha beta", "1", "nan", "1e"]))
+                              for _ in range(draw(st.integers(1, 4)))))
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(_BLANKS))
+        w = width + (draw(st.sampled_from([-1, 1])) if draw(st.integers(0, 9)) == 0 else 0)
+        line = ",".join(draw(_CELLS) for _ in range(max(w, 1)))
+        if draw(st.integers(0, 9)) == 0:
+            line += ","
+        lines.append(line)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def _outcome(parse, path):
+    try:
+        table = parse(path)
+    except DataFormatError as exc:
+        return str(exc)
+    return table.shape, table.tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=_tables())
+def test_parse_table_equals_the_row_parser(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    assert _outcome(_parse_table, str(path)) == _outcome(_parse_rows, str(path))
+
+
+@pytest.mark.parametrize("header", [None, ["a", "b b", "c"]])
+def test_save_matrix_writes_the_reference_bytes(tmp_path, header):
+    M = np.array([
+        [-0.0, 5e-324, 2.2250738585072014e-308],
+        [0.1, 1e-5, 1e16],
+        [1e308, 3.0, -42.0],
+        [np.float32(0.1), 2.0**53, 1.0],
+    ])
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    save_matrix(str(got), M, header)
+    save_matrix_reference(str(want), M, header)
+    assert got.read_bytes() == want.read_bytes()
+    assert np.array_equal(_parse_table(str(got)), M)
 
 
 def test_two_sample_validation():

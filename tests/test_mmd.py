@@ -1,7 +1,10 @@
 import math
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from mmdselect.core import SelectionVector, TwoSampleData, make_selection
 from mmdselect.gauss import gauss_objective
@@ -15,6 +18,8 @@ from mmdselect.mmd import (
     median_heuristic,
     mmd_sq,
 )
+
+from oracles import median_heuristic_reference
 
 LIN = KernelSpec.linear()
 
@@ -146,6 +151,34 @@ def test_median_heuristic_values():
     same = TwoSampleData(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]))
     with pytest.raises(DegenerateBandwidthError):
         median_heuristic(same)
+
+
+@st.composite
+def _groups(draw):
+    dim = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1e-8, 1.0, 1e3, 1e8]))
+    cells = st.floats(-10.0, 10.0, allow_subnormal=False).map(lambda v: v * scale)
+    X = draw(hnp.arrays(np.float64, (draw(st.integers(1, 9)), dim), elements=cells))
+    Y = draw(hnp.arrays(np.float64, (draw(st.integers(1, 9)), dim), elements=cells))
+    return X, Y
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(groups=_groups())
+def test_median_heuristic_matches_the_reference_bit_for_bit(groups):
+    X, Y = groups
+    want = median_heuristic_reference(X, Y)
+    if want <= 0.0:
+        with pytest.raises(DegenerateBandwidthError):
+            median_heuristic(TwoSampleData(X, Y))
+    else:
+        assert np.float64(median_heuristic(TwoSampleData(X, Y))).tobytes() == np.float64(want).tobytes()
+
+
+def test_median_heuristic_matches_the_reference_at_scale():
+    gen = np.random.default_rng(4)
+    X, Y = gen.standard_normal((300, 40)), gen.standard_normal((250, 40)) + 0.3
+    assert median_heuristic(TwoSampleData(X, Y)) == median_heuristic_reference(X, Y)
 
 
 def test_concentration_epsilon_reference_point():

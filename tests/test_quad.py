@@ -8,17 +8,15 @@ from mmdselect.quad import (
     RelaxConfig,
     approximation_gap,
     assemble_quadratic,
-    dump_instance,
     exact_select_bnb,
     greedy_select,
-    load_instance,
     local_search,
     project_capped_simplex,
     relax_select,
 )
 from mmdselect.trs import lambda_set, trs_max
 
-from oracles import brute_force_quad
+from oracles import brute_force_quad, dump_instance, load_instance
 
 
 def psd_instance(gen, D):
@@ -249,7 +247,7 @@ def test_capped_simplex_projection_properties():
 
 
 def test_instance_dump_round_trip(tmp_path):
-    from mmdselect.quad import load_instance_file, save_instance_file
+    from oracles import load_instance_file, save_instance_file
 
     gen = np.random.default_rng(9)
     qp = psd_instance(gen, 4)
