@@ -46,11 +46,9 @@ from .gauss import (
     extract_selection,
     gauss_objective,
     lambda_grid_select,
-    stochastic_gradient,
-    surrogate,
 )
 from .permutation import PermutationReport, permutation_test
-from .selectors import Selector, make_selector
+from .selectors import Selector
 from .bench import (
     ExperimentConfig,
     SelectionMetrics,

@@ -25,11 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RandomSource, TwoSampleData, derive_stream, make_selection
-from .mmd import KernelSpec, resolve_kernel
+from .core import RandomSource, TwoSampleData, derive_stream
+from .mmd import LINEAR, KernelSpec, resolve_kernel
 from .permutation import permutation_test
-from .quad import QuadSolveReport, assemble_quadratic, greedy_select, relax_select
-from .selectors import SOLVER_FAMILIES, kernel_for_solver
+from .selectors import SOLVER_FAMILIES
 
 MODES = ("shift", "cov_shift", "null")
 
@@ -148,7 +147,6 @@ class ExperimentConfig:
     rng: RandomSource = field(default_factory=lambda: RandomSource(0))
     workers: int = 1
     corrected: bool = False
-    bandwidths: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.trials < 1:
@@ -190,12 +188,10 @@ class ExperimentSummary:
         return "\n".join(lines) + "\n"
 
 
-def _selector_kernel(sel, bandwidths: dict) -> KernelSpec:
-    name = getattr(sel, "name", "")
-    family = SOLVER_FAMILIES.get(name)
-    if family is None:
-        return KernelSpec.linear() if name == "oracle" else kernel_for_solver("linear")
-    return kernel_for_solver(name, bandwidths.get(family))
+def _selector_kernel(sel) -> KernelSpec:
+    """The kernel family of a named solver, bandwidth unresolved; linear for
+    a selector that is not one of the solvers."""
+    return KernelSpec(SOLVER_FAMILIES.get(sel.name, LINEAR))
 
 
 def _openblas_thread_functions():
@@ -363,7 +359,7 @@ def _power_trial(config: ExperimentConfig, t: int) -> list:
     for sel in config.selectors:
         rep = permutation_test(
             data,
-            _selector_kernel(sel, config.bandwidths),
+            _selector_kernel(sel),
             sel,
             config.n_permutations,
             config.alpha,
@@ -382,7 +378,7 @@ def _recovery_trial(config: ExperimentConfig, t: int) -> list:
     data, true_support = synth_block_gaussian(spec)
     out = []
     for sel in config.selectors:
-        kernel = _selector_kernel(sel, config.bandwidths)
+        kernel = _selector_kernel(sel)
         kernel = resolve_kernel(kernel, data, getattr(sel, "d", None))
         selection = sel.select(data, kernel, derive_stream(trial_rng, 1))
         m = fdp_ndp(selection.support, true_support)
@@ -405,7 +401,7 @@ def run_power_experiment(config: ExperimentConfig) -> ExperimentSummary:
         vals = np.array([row[k] for row in rows])
         per.append(
             SelectorSummary(
-                name=getattr(sel, "name", f"selector{k}"),
+                name=sel.name,
                 mean=float(vals.mean()),
                 sd=float(vals.std()),
                 values=tuple(float(v) for v in vals),
@@ -427,7 +423,7 @@ def run_recovery_experiment(config: ExperimentConfig) -> ExperimentSummary:
         ndps = np.array([row[k][1] for row in rows])
         per.append(
             SelectorSummary(
-                name=getattr(sel, "name", f"selector{k}") + ":fdp",
+                name=sel.name + ":fdp",
                 mean=float(fdps.mean()),
                 sd=float(fdps.std()),
                 values=tuple(float(v) for v in fdps),
@@ -435,33 +431,10 @@ def run_recovery_experiment(config: ExperimentConfig) -> ExperimentSummary:
         )
         per.append(
             SelectorSummary(
-                name=getattr(sel, "name", f"selector{k}") + ":ndp",
+                name=sel.name + ":ndp",
                 mean=float(ndps.mean()),
                 sd=float(ndps.std()),
                 values=tuple(float(v) for v in ndps),
             )
         )
     return ExperimentSummary(kind="recovery", per_selector=tuple(per), parallel=parallel)
-
-
-def prescreen_then_relax(
-    data: TwoSampleData, c: float, d: int, prescreen_to: int = 200
-) -> QuadSolveReport:
-    """Large-dimension recipe: greedy pre-screen down to ``prescreen_to``
-    variables, then the relaxation on the surviving block; support indices in
-    the returned report refer to the ambient numbering."""
-    qp = assemble_quadratic(data, c)
-    if qp.dim <= prescreen_to:
-        return relax_select(qp, d)[1]
-    pre = greedy_select(qp, prescreen_to)
-    keep = sorted(pre.support)
-    sub = TwoSampleData(data.X[:, keep], data.Y[:, keep])
-    _, rep = relax_select(assemble_quadratic(sub, c), d)
-    z = np.zeros(data.dim)
-    z[keep] = rep.z.z
-    return QuadSolveReport(
-        support=tuple(keep[i] for i in rep.support),
-        z=make_selection(z, d),
-        value=rep.value,
-        method="prescreen+relax",
-    )

@@ -28,7 +28,7 @@ from .core import (
 from .gauss import write_trajectory
 from .mmd import KernelSpec, mmd_sq, resolve_kernel
 from .permutation import permutation_test
-from .selectors import SOLVER_FAMILIES, Selector, check_compatible, kernel_for_solver
+from .selectors import SOLVER_FAMILIES, Selector, kernel_for_solver
 
 SCHEMA_VERSION = 1
 
@@ -136,9 +136,7 @@ def _resolve_cli_kernel(args) -> KernelSpec:
             f"solver {args.solver!r} requires the {family} kernel, got {args.kernel!r}"
         )
     bandwidth = args.c if family == "quadratic" else args.gamma if family == "gaussian" else None
-    kernel = kernel_for_solver(args.solver, bandwidth)
-    check_compatible(args.solver, kernel)
-    return kernel
+    return kernel_for_solver(args.solver, bandwidth)
 
 
 def _selection_payload(selection, objective=None) -> dict:

@@ -3,6 +3,7 @@ random streams, delimited-table ingestion, and train/test splitting."""
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -198,14 +199,14 @@ def _first_data_line(path: str, rows):
     return data
 
 
-def _parse_rows(path: str) -> np.ndarray:
-    """The table grammar, one row at a time: every cell goes through
-    ``float()``, and the error names the row, column and cell at fault."""
+def _data_rows(path: str):
+    """``(line number, line, values)`` of each data row, by the table grammar:
+    every cell goes through ``float()``, and the error names the row, column
+    and cell at fault."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         # decode the whole file before any cell error, as _parse_table does
         rows = iter(list(_numbered_lines(fh)))
     first_data = _first_data_line(path, rows)
-    data = []
     width = None
     for lineno, line in [first_data, *rows]:
         vals, err = _parse_row(lineno, line)
@@ -218,8 +219,12 @@ def _parse_rows(path: str) -> np.ndarray:
             raise DataFormatError(
                 f"{path}: row {lineno} has {len(vals)} columns, expected {width}"
             )
-        data.append(vals)
-    return np.array(data, dtype=np.float64)
+        yield lineno, line, vals
+
+
+def _parse_rows(path: str) -> np.ndarray:
+    """The table grammar, one row at a time (see :func:`_data_rows`)."""
+    return np.array([vals for _, _, vals in _data_rows(path)], dtype=np.float64)
 
 
 def _parse_table(path: str) -> np.ndarray:
@@ -247,10 +252,26 @@ def _parse_table(path: str) -> np.ndarray:
     return table
 
 
+def _load_table(path: str) -> np.ndarray:
+    """:func:`_parse_table`, and a ``DataFormatError`` naming the row, column
+    and text of the first cell that parses to a value that is not finite
+    (``nan``, ``inf``, ``1e400``)."""
+    table = _parse_table(path)
+    if not np.isfinite(table).all():
+        for lineno, line, vals in _data_rows(path):
+            for j, v in enumerate(vals):
+                if not math.isfinite(v):
+                    cell = line.split(",")[j].strip()
+                    raise DataFormatError(
+                        f"{path}: non-finite cell {cell!r} at row {lineno}, column {j + 1}"
+                    )
+    return table
+
+
 def load_two_sample(path_x: str, path_y: str) -> TwoSampleData:
     """Load the two groups from comma-delimited tables (one sample per row)."""
-    X = _parse_table(path_x)
-    Y = _parse_table(path_y)
+    X = _load_table(path_x)
+    Y = _load_table(path_y)
     if X.shape[1] != Y.shape[1]:
         raise DataFormatError(
             f"dimension mismatch: {path_x} has {X.shape[1]} columns, "

@@ -39,7 +39,6 @@ class GaussConfig:
     batch: int = 256
     lambda_grid: tuple = DEFAULT_LAMBDA_GRID
     rng: RandomSource = field(default_factory=lambda: RandomSource(0))
-    step_scale: float = 2.0
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -66,10 +65,6 @@ class GaussianPairTerms:
         self.n = data.n
         self.m = data.m
         self.gamma = float(gamma)
-
-    def pair_matrix(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        diff = np.asarray(u, dtype=np.float64) - np.asarray(v, dtype=np.float64)
-        return np.outer(diff, diff) / (2.0 * self.gamma)
 
     def _exponents(self, U: np.ndarray, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
         ZU = U @ Z
@@ -154,47 +149,6 @@ def gauss_objective(Z, data: TwoSampleData, gamma: float) -> float:
         - float(Exx.sum()) / (n * n)
         - float(Eyy.sum()) / (m * m)
     )
-
-
-def surrogate(Z, Z0, data: TwoSampleData, gamma: float) -> float:
-    """Convex majorant of F: cross term exact, within-group terms linearized
-    at ``Z0``.  Anchored (equal to F at Z0) and never below F."""
-    Zm = _as_matrix(Z)
-    Z0m = _as_matrix(Z0)
-    terms = GaussianPairTerms(data, gamma)
-    n, m = terms.n, terms.m
-    cross = 2.0 * float(np.exp(-terms._exponents(terms.X, terms.Y, Zm)).sum()) / (n * m)
-
-    def lin_within(U, count):
-        s0 = terms._exponents(U, U, Z0m)
-        s = terms._exponents(U, U, Zm)
-        e0 = np.exp(-s0)
-        return float(np.sum(e0 * (1.0 - (s - s0)))) / (count * count)
-
-    return cross - lin_within(terms.X, n) - lin_within(terms.Y, m)
-
-
-def stochastic_gradient(
-    Z,
-    Z0,
-    data: TwoSampleData,
-    gamma: float,
-    lam: float,
-    batch: int,
-    gen: np.random.Generator,
-    within_grad: np.ndarray | None = None,
-) -> np.ndarray:
-    """Estimate of the (sub)gradient of ``surrogate(.; Z0) + lam ||.||_1``,
-    by ``GaussianPairTerms.surrogate_grad``, the oracle ``ccp_select`` runs.
-
-    ``batch >= n*m`` switches to the exact cross-term gradient.  The within
-    part is the constant linearization gradient at ``Z0`` (precomputable via
-    ``within_grad``).
-    """
-    terms = GaussianPairTerms(data, gamma)
-    if within_grad is None:
-        within_grad = terms.within_grad_at(_as_matrix(Z0))
-    return terms.surrogate_grad(_as_matrix(Z), gen, within_grad, lam, batch)
 
 
 def extract_selection(Z, d: int) -> SelectionVector:
@@ -306,7 +260,7 @@ def ccp_select(data: TwoSampleData, cfg: GaussConfig, d: int) -> CcpResult:
     traj = [_trace_point(0, point.Z, data, cfg.gamma, cfg.lam, 0.0)]
     gap = 0.0
     base_rule = prop1_step_rule(max(cfg.T_in, 1), radius)
-    rule = lambda t, rm: cfg.step_scale * base_rule(t, rm)
+    rule = lambda t, rm: 2.0 * base_rule(t, rm)  # twice the Proposition 1 step
     for outer in range(1, cfg.T_out + 1):
         oracle = partial(
             terms.surrogate_grad, within=terms.within_grad_at(point.Z), lam=cfg.lam, batch=cfg.batch

@@ -97,17 +97,18 @@ def kernel_eval(spec: KernelSpec, z, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def gram(spec: KernelSpec, z, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Kernel matrix ``[K_z(u_i, v_j)]`` over two sample blocks, vectorized."""
+    """Gaussian kernel matrix ``[K_z(u_i, v_j)]`` over two sample blocks.
+
+    The linear and quadratic statistics never need one: they come from
+    :func:`moment_features`.
+    """
+    if spec.family != GAUSSIAN:
+        raise ValueError(f"the {spec.family} statistic is computed from moments, not a Gram matrix")
     zv = _as_vector(z)
     U = np.asarray(U, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
     if U.shape[1] != zv.shape[0] or V.shape[1] != zv.shape[0]:
         raise ValueError("dimension mismatch between z and sample blocks")
-    if spec.family == LINEAR:
-        return (U * zv) @ V.T
-    if spec.family == QUADRATIC:
-        c = spec.require_bandwidth()
-        return ((U * zv) @ V.T + c) ** 2
     gamma = spec.require_bandwidth()
     u = U @ zv
     v = V @ zv

@@ -35,15 +35,13 @@ class QuadProblem:
 
     ``A`` is symmetric positive semidefinite; ``shift`` records the
     ``lambda_min`` that was subtracted from the raw matrix (0 when it was
-    already PSD) and ``offset`` any constant term, so that an objective value
-    ``v`` computed on the stored matrix reports as ``v + shift + offset`` in
-    the original problem.
+    already PSD), so that an objective value ``v`` computed on the stored
+    matrix reports as ``v + shift`` in the original problem.
     """
 
     A: np.ndarray
     t: np.ndarray
     shift: float = 0.0
-    offset: float = 0.0
 
     def __post_init__(self):
         A = _freeze_input(_check_symmetric(self.A, "A", 1e-10))
@@ -63,17 +61,17 @@ class QuadProblem:
         return self.t.shape[0]
 
     @classmethod
-    def from_matrices(cls, A: np.ndarray, t: np.ndarray, offset: float = 0.0) -> "QuadProblem":
+    def from_matrices(cls, A: np.ndarray, t: np.ndarray) -> "QuadProblem":
         """Record ``lambda_min`` and shift the matrix to PSD when needed."""
         A = 0.5 * (np.asarray(A, dtype=np.float64) + np.asarray(A, dtype=np.float64).T)
         lmin = float(np.linalg.eigvalsh(A)[0])
         shift = min(lmin, 0.0)
         if shift < 0.0:
             A = A - shift * np.eye(A.shape[0])
-        return cls(A, np.asarray(t, dtype=np.float64), shift=shift, offset=offset)
+        return cls(A, np.asarray(t, dtype=np.float64), shift=shift)
 
     def report_value(self, stored_value: float) -> float:
-        return stored_value + self.shift + self.offset
+        return stored_value + self.shift
 
 
 def assemble_quadratic(data: TwoSampleData, c: float) -> QuadProblem:
@@ -137,18 +135,16 @@ def greedy_select(qp: QuadProblem, d: int, tol: float = 1e-9) -> QuadSolveReport
     return _report(qp, d, sol, GREEDY)
 
 
-def local_search(
-    qp: QuadProblem, d: int, init, max_sweeps: int = 100, tol: float = 1e-9
-) -> QuadSolveReport:
+def local_search(qp: QuadProblem, d: int, init, tol: float = 1e-9) -> QuadSolveReport:
     """Swap improvement: replace one selected feature while the oracle value
     strictly improves by more than ``tol``; first improving swap restarts the
-    scan."""
+    scan, for at most 100 sweeps."""
     D = qp.dim
     S = sorted(int(i) for i in init)
     if len(S) != min(d, D) or len(set(S)) != len(S):
         raise ValueError("init must be a duplicate-free support of size min(d, D)")
     val = lambda_set(S, qp.A, qp.t, tol).value
-    for _ in range(max_sweeps):
+    for _ in range(100):
         improved = False
         for i in list(S):
             for j in range(D):
@@ -285,12 +281,11 @@ class RelaxState:
 
 @dataclass(frozen=True)
 class RelaxConfig:
+    """Iteration budget of ``relax_select``: penalty rounds, and mirror steps
+    per round."""
+
     max_rounds: int = 40
     inner_steps: int = 120
-    feas_tol: float = 1e-6
-    opt_tol: float = 1e-6
-    penalty_init: float = 1.0
-    penalty_growth: float = 2.0
 
 
 def _certified_upper_bound(qp: QuadProblem, d: int) -> float:
@@ -322,8 +317,9 @@ def relax_select(
     form as ``z = Wt / sqrt(t'Wt)``) subject to row linking constraints
     ``|W_ij| <= M_ij q_i`` and ``sum_j |W_ij| <= sqrt(d) q_i`` with fractional
     weights ``q`` on the capped simplex.  Linking constraints enter as hinge
-    penalties with geometrically increasing weight; ``W`` takes entropic
-    mirror-ascent steps and ``q`` is re-projected exactly each round.
+    penalties whose weight starts at 1 and doubles after each round that ends
+    with a violation of 1e-6 or more; ``W`` takes entropic mirror-ascent steps
+    and ``q`` is re-projected exactly each round.
 
     The returned report carries a certified upper bound (independent of the
     first-order iterate, see ``_certified_upper_bound``); the rounded support
@@ -353,7 +349,7 @@ def relax_select(
     point = SpectraPoint.identity(D)
     W = point.Z
     q = np.full(D, d / D)
-    rho = cfg.penalty_init
+    rho = 1.0
     max_viol = np.inf
     for _ in range(cfg.max_rounds):
         for it in range(cfg.inner_steps):
@@ -375,9 +371,9 @@ def relax_select(
             float(v_entry.max()) if v_entry.size else 0.0,
             float(v_row.max()) if v_row.size else 0.0,
         )
-        if max_viol < cfg.feas_tol:
+        if max_viol < 1e-6:
             break
-        rho *= cfg.penalty_growth
+        rho *= 2.0
 
     # bordered matrix: best corner row for the current block, closed form
     tWt = float(t @ W @ t)
@@ -430,17 +426,16 @@ def approximation_gap(
     t: np.ndarray,
     D: int,
     d: int,
-    rel_tol: float = 1e-5,
 ) -> GapCheck:
     """Check the approximation-ratio sandwich for a certified relaxation bound:
 
     ``exact <= relax <= ||t||_2 + min(D/d * exact, d * exact - min_k |t_k|)``
 
-    within ``rel_tol`` relative slack.  Values must refer to the PSD-shifted
+    within a relative slack of 1e-5.  Values must refer to the PSD-shifted
     problem.  Returns the measured slack (envelope minus bound).
     """
     t = np.asarray(t, dtype=np.float64)
-    tol = rel_tol * max(1.0, abs(exact_value))
+    tol = 1e-5 * max(1.0, abs(exact_value))
     envelope = float(np.linalg.norm(t)) + min(
         D / d * exact_value, d * exact_value - float(np.min(np.abs(t)))
     )

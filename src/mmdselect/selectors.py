@@ -1,29 +1,19 @@
 """Named selection strategies bridging kernels and solvers.
 
-Each solver name implies a kernel family; ``make_selector`` validates the
-pairing and returns an object with ``select(train, kernel, rng)`` usable by
-the permutation test and the experiment drivers.
+Each solver name implies a kernel family.  A ``Selector`` names a solver and
+a budget, and its ``select(train, kernel, rng)`` checks that the kernel has
+the solver's family; the permutation test and the experiment drivers call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from .core import (
-    RandomSource,
-    SelectionVector,
-    TwoSampleData,
-    derive_stream,
-    make_selection,
-    split_train_test,
-)
+from .core import RandomSource, SelectionVector, TwoSampleData, derive_stream, split_train_test
 from .gauss import GaussConfig, ccp_select, lambda_grid_select
 from .linear import linear_coefficients, linear_select
 from .mmd import GAUSSIAN, LINEAR, QUADRATIC, KernelSpec
 from .quad import (
-    RelaxConfig,
     _pad_support,
     assemble_quadratic,
     exact_select_bnb,
@@ -40,6 +30,9 @@ SOLVER_FAMILIES = {
     "quad-relax": QUADRATIC,
     "gauss-ccp": GAUSSIAN,
 }
+
+# the keys of ``Selector.options``; gauss-ccp reads them, the others ignore them
+_OPTION_KEYS = frozenset({"lam", "lambda_grid", "T_out", "T_in", "batch"})
 
 
 def kernel_for_solver(solver: str, bandwidth: float | None = None) -> KernelSpec:
@@ -59,7 +52,9 @@ def check_compatible(solver: str, kernel: KernelSpec) -> None:
 
 @dataclass(frozen=True)
 class Selector:
-    """Budgeted selection strategy; ``options`` tunes the underlying solver."""
+    """Budgeted selection strategy.  ``options`` tunes the gauss-ccp solver
+    (``lam``, ``lambda_grid``, ``T_out``, ``T_in``, ``batch``); any other key
+    raises ``ValueError``, whatever the solver."""
 
     name: str
     d: int
@@ -70,6 +65,11 @@ class Selector:
             raise ValueError(f"unknown solver {self.name!r}")
         if self.d < 1:
             raise ValueError("budget d must be >= 1")
+        unknown = sorted(set(self.options) - _OPTION_KEYS)
+        if unknown:
+            raise ValueError(
+                f"unknown selector options {unknown}; allowed: {sorted(_OPTION_KEYS)}"
+            )
 
     def select(self, train: TwoSampleData, kernel: KernelSpec, rng: RandomSource) -> SelectionVector:
         selection, _ = self.select_with_diagnostics(train, kernel, rng)
@@ -96,9 +96,7 @@ class Selector:
             )
             if self.options.get("lambda_grid"):
                 cfg = replace(cfg, lambda_grid=tuple(self.options["lambda_grid"]))
-                tr, val = split_train_test(
-                    train, self.options.get("grid_val_fraction", 0.5), derive_stream(rng, 77)
-                )
+                tr, val = split_train_test(train, 0.5, derive_stream(rng, 77))
                 cfg = replace(cfg, lam=lambda_grid_select(tr, val, cfg, d))
             result = ccp_select(train, cfg, d)
             return result.selection, {
@@ -114,10 +112,9 @@ class Selector:
             g = greedy_select(qp, d)
             report = local_search(qp, d, _pad_support(g.support, d, qp.dim))
         elif self.name == "quad-exact":
-            report = exact_select_bnb(qp, d, dim_cap=self.options.get("dim_cap", 30))
+            report = exact_select_bnb(qp, d)
         else:
-            cfg = self.options.get("relax_cfg") or RelaxConfig()
-            _, report = relax_select(qp, d, cfg)
+            _, report = relax_select(qp, d)
         diag = {"method": report.method, "value": report.value}
         if report.upper_bound is not None:
             diag["upper_bound"] = report.upper_bound
@@ -125,36 +122,3 @@ class Selector:
         if report.node_count is not None:
             diag["node_count"] = report.node_count
         return report.z, diag
-
-
-def make_selector(name: str, d: int, **options) -> Selector:
-    return Selector(name, d, options)
-
-
-@dataclass(frozen=True)
-class OracleSelector:
-    """Baseline that always returns a fixed support with equal weights."""
-
-    support: tuple
-    d: int
-    name: str = "oracle"
-
-    def select(self, train, kernel, rng) -> SelectionVector:
-        z = np.zeros(train.dim)
-        z[list(self.support)] = 1.0
-        return make_selection(z, self.d)
-
-
-@dataclass(frozen=True)
-class RandomSelector:
-    """Baseline that picks a uniformly random size-d support."""
-
-    d: int
-    name: str = "random"
-
-    def select(self, train, kernel, rng) -> SelectionVector:
-        g = rng.generator()
-        idx = g.choice(train.dim, size=self.d, replace=False)
-        z = np.zeros(train.dim)
-        z[idx] = 1.0
-        return make_selection(z, self.d)

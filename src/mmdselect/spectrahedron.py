@@ -19,6 +19,9 @@ import numpy as np
 from .core import RandomSource, _check_symmetric
 from .core import _freeze as _freeze_input
 
+# eigenvalues are floored at this fraction of the trace before taking logs
+_LOG_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class SpectraPoint:
@@ -32,7 +35,6 @@ class SpectraPoint:
 
     Z: np.ndarray
     tau: float = 1.0
-    eigen_floor: float | None = None
     _eig: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -45,17 +47,15 @@ class SpectraPoint:
         if abs(float(np.trace(Z)) - self.tau) > 1e-9 * max(1.0, self.tau):
             raise ValueError("trace of Z must equal tau")
         object.__setattr__(self, "Z", Z)
-        if self.eigen_floor is None:
-            object.__setattr__(self, "eigen_floor", 1e-12 * self.tau)
 
     @classmethod
-    def _built(cls, Z: np.ndarray, tau: float, eigen_floor: float, eig=None) -> "SpectraPoint":
+    def _built(cls, Z: np.ndarray, tau: float, eig=None) -> "SpectraPoint":
         """A point this module computed, taken without validation; ``eig`` is
         ``(w, U)`` with ``Z = U diag(w) U'`` up to rounding."""
         p = object.__new__(cls)
         for a in (Z,) if eig is None else (Z, *eig):
             a.flags.writeable = False
-        for name, value in (("Z", Z), ("tau", tau), ("eigen_floor", eigen_floor), ("_eig", eig)):
+        for name, value in (("Z", Z), ("tau", tau), ("_eig", eig)):
             object.__setattr__(p, name, value)
         return p
 
@@ -70,7 +70,7 @@ class SpectraPoint:
     @classmethod
     def identity(cls, k: int, tau: float = 1.0) -> "SpectraPoint":
         p = cls(np.eye(k) * (tau / k), tau=tau)
-        return cls._built(p.Z, p.tau, p.eigen_floor, (np.full(k, tau / k), np.eye(k)))
+        return cls._built(p.Z, p.tau, (np.full(k, tau / k), np.eye(k)))
 
 
 def spectral_norm(G: np.ndarray) -> float:
@@ -89,7 +89,7 @@ def mirror_step(p: SpectraPoint, G: np.ndarray, step: float) -> SpectraPoint:
     if G.shape[0] != p.dim:
         raise ValueError("gradient dimension mismatch")
     w, U = p.eigenpairs()
-    logZ = (U * np.log(np.maximum(w, p.eigen_floor))) @ U.T
+    logZ = (U * np.log(np.maximum(w, _LOG_FLOOR * p.tau))) @ U.T
     H = logZ - step * G
     H = 0.5 * (H + H.T)
     w2, U2 = np.linalg.eigh(H)
@@ -97,7 +97,7 @@ def mirror_step(p: SpectraPoint, G: np.ndarray, step: float) -> SpectraPoint:
     Y = (U2 * e) @ U2.T
     Y = 0.5 * (Y + Y.T)
     c = p.tau / float(np.trace(Y))
-    return SpectraPoint._built(Y * c, p.tau, p.eigen_floor, (e * c, U2))
+    return SpectraPoint._built(Y * c, p.tau, (e * c, U2))
 
 
 def bregman(p1: SpectraPoint, p2: SpectraPoint) -> float:
@@ -107,10 +107,10 @@ def bregman(p1: SpectraPoint, p2: SpectraPoint) -> float:
     if abs(p1.tau - p2.tau) > 1e-12 * max(1.0, p1.tau):
         raise ValueError("trace targets must agree")
     w1, _ = p1.eigenpairs()
-    w1f = np.maximum(w1, p1.eigen_floor)
+    w1f = np.maximum(w1, _LOG_FLOOR * p1.tau)
     term1 = float(np.sum(w1f * np.log(w1f)))
     w2, U2 = p2.eigenpairs()
-    logY = (U2 * np.log(np.maximum(w2, p2.eigen_floor))) @ U2.T
+    logY = (U2 * np.log(np.maximum(w2, _LOG_FLOOR * p2.tau))) @ U2.T
     return term1 - float(np.sum(p1.Z * logY))
 
 
@@ -120,17 +120,17 @@ def entropy_radius(k: int, tau: float = 1.0) -> float:
     return tau * float(np.log(max(k, 2)))
 
 
-def prop1_step_rule(T: int, radius: float, m_star: float | None = None, safety: float = 2.0):
+def prop1_step_rule(T: int, radius: float, m_star: float | None = None):
     """Constant step ``sqrt(2 kappa V / (T M^2))`` with ``kappa = 1/2``.
 
-    When ``m_star`` is unknown it is replaced by a running maximum of observed
-    gradient operator norms inflated by ``safety``.
+    When ``m_star`` is unknown it is replaced by twice the running maximum of
+    observed gradient operator norms.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
 
     def rule(t: int, running_max: float) -> float:
-        m = m_star if m_star is not None else safety * max(running_max, 1e-12)
+        m = m_star if m_star is not None else 2.0 * max(running_max, 1e-12)
         return float(np.sqrt(radius / T) / m)
 
     return rule
@@ -180,4 +180,4 @@ def smd_run(
         stats.grad_norm_max = max(stats.grad_norm_max, running_max)
     avg = acc / T_in  # iterates are exactly symmetric, so is their sum
     avg *= p0.tau / float(np.trace(avg))
-    return SpectraPoint._built(avg, p0.tau, p0.eigen_floor)
+    return SpectraPoint._built(avg, p0.tau)

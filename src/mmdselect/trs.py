@@ -48,6 +48,16 @@ def _residual(A, t, z, mu) -> float:
     return float(np.linalg.norm(2.0 * (mu * z - A @ z) - t))
 
 
+def _check_finite(value: float, mu: float, res: float) -> None:
+    """Raise ``ArithmeticError`` when the maximum, its multiplier or its KKT
+    residual overflowed float64 (entries of ``A`` or ``t`` near 1e308)."""
+    if not (math.isfinite(value) and math.isfinite(mu) and math.isfinite(res)):
+        raise ArithmeticError(
+            f"sphere maximum overflows float64 "
+            f"(value {value!r}, multiplier {mu!r}, residual {res!r})"
+        )
+
+
 def _brentq(f, xa: float, xb: float, xtol=1e-15, rtol=8.9e-16, maxiter=200) -> float:
     """Root of ``f`` bracketed by ``[xa, xb]``, by Brent's method (Brent 1973,
     ch. 4): inverse quadratic or secant steps, bisection when they stall.
@@ -184,7 +194,9 @@ def trs_max(A: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> TrsSolution:
         lmax = float(lam[-1])
         if tnorm == 0.0:
             z = _canonical_sign(Q[:, -1])
-            return TrsSolution(lmax, z, lmax, _residual(A, t, z, lmax), hard_case=True)
+            res = _residual(A, t, z, lmax)
+            _check_finite(lmax, lmax, res)
+            return TrsSolution(lmax, z, lmax, res, hard_case=True)
         z, mu, hard = _secular(lam, Q, t, tnorm)
         value = float(z @ A @ z + t @ z)
     res = _residual(A, t, z, mu)
@@ -194,6 +206,7 @@ def trs_max(A: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> TrsSolution:
         raise ArithmeticError(
             f"sphere maximizer failed its optimality certificate (residual {res:.3e})"
         )
+    _check_finite(value, mu, res)
     return TrsSolution(value, z, mu, res, hard)
 
 

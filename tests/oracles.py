@@ -6,20 +6,22 @@ enumeration, low-dimensional maxima from refined grid search, and permutation
 statistics from the three sub-blocks of the pooled Gram matrix.  The table
 writer and the median heuristic are written out cell by cell and one
 temporary per operation, the forms the library's versions must match bit for
-bit.  The plain-text dump of quadratic instances is I/O that only tests use.
+bit.  The gaussian surrogate sums its pair terms one difference vector at a
+time.  The baseline selectors (a fixed support, a random one) and the
+gradient wrapper are what the tests drive the library with.
 """
 
 from __future__ import annotations
 
-import io
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from mmdselect.core import derive_stream
-from mmdselect.mmd import gram
-from mmdselect.quad import QuadProblem
+from mmdselect import mmd
+from mmdselect.core import derive_stream, make_selection
+from mmdselect.gauss import GaussianPairTerms
 
 
 def dual_trs_value(A: np.ndarray, t: np.ndarray) -> float:
@@ -157,34 +159,73 @@ def median_heuristic_reference(X: np.ndarray, Y: np.ndarray) -> float:
     return float(np.median(np.maximum(d2, 0.0)))
 
 
-def dump_instance(qp: QuadProblem, d: int) -> str:
-    """Plain-text dump of (A, t, d) for cross-solver comparison."""
-    buf = io.StringIO()
-    D = qp.dim
-    buf.write(f"{D} {d}\n")
-    for row in qp.A:
-        buf.write(" ".join(repr(float(v)) for v in row) + "\n")
-    buf.write(" ".join(repr(float(v)) for v in qp.t) + "\n")
-    buf.write(f"{qp.shift!r} {qp.offset!r}\n")
-    return buf.getvalue()
+def gram(spec, z, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Kernel matrix ``[K_z(u_i, v_j)]`` of any family: the linear and
+    quadratic ones from the projected inner products, the gaussian one from
+    ``mmd.gram``."""
+    if spec.family == mmd.GAUSSIAN:
+        return mmd.gram(spec, z, U, V)
+    zv = np.asarray(getattr(z, "z", z), dtype=np.float64)  # a SelectionVector or an array
+    inner = (np.asarray(U, dtype=np.float64) * zv) @ np.asarray(V, dtype=np.float64).T
+    if spec.family == mmd.LINEAR:
+        return inner
+    return (inner + spec.require_bandwidth()) ** 2
 
 
-def load_instance(text: str) -> tuple[QuadProblem, int]:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    D, d = (int(v) for v in lines[0].split())
-    if len(lines) != D + 3:
-        raise ValueError("malformed instance dump")
-    A = np.array([[float(v) for v in lines[1 + i].split()] for i in range(D)])
-    t = np.array([float(v) for v in lines[1 + D].split()])
-    shift, offset = (float(v) for v in lines[2 + D].split())
-    return QuadProblem(A, t, shift=shift, offset=offset), d
+def _pair_exponents(U: np.ndarray, V: np.ndarray, Z: np.ndarray, gamma: float) -> np.ndarray:
+    """``[(u_i - v_j)' Z (u_i - v_j) / (2 gamma)]``, one difference at a time."""
+    Z = np.asarray(Z, dtype=np.float64)
+    return np.array([[(u - v) @ Z @ (u - v) / (2.0 * gamma) for v in V] for u in U])
 
 
-def save_instance_file(path: str, qp: QuadProblem, d: int) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_instance(qp, d))
+def surrogate(Z, Z0, data, gamma: float) -> float:
+    """Convex majorant of the gaussian objective F: cross term exact,
+    within-group terms linearized at ``Z0``.  Anchored (equal to F at Z0) and
+    never below F."""
+    n, m = data.n, data.m
+    cross = 2.0 * float(np.exp(-_pair_exponents(data.X, data.Y, Z, gamma)).sum()) / (n * m)
+
+    def lin_within(U, count):
+        s0 = _pair_exponents(U, U, Z0, gamma)
+        s = _pair_exponents(U, U, Z, gamma)
+        return float(np.sum(np.exp(-s0) * (1.0 - (s - s0)))) / (count * count)
+
+    return cross - lin_within(data.X, n) - lin_within(data.Y, m)
 
 
-def load_instance_file(path: str) -> tuple[QuadProblem, int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_instance(fh.read())
+def stochastic_gradient(Z, Z0, data, gamma: float, lam: float, batch: int, gen) -> np.ndarray:
+    """The library's estimate of the (sub)gradient of ``surrogate(.; Z0) +
+    lam ||.||_1``: ``GaussianPairTerms.surrogate_grad``, the oracle
+    ``ccp_select`` runs, exact when ``batch >= n*m``."""
+    terms = GaussianPairTerms(data, gamma)
+    within = terms.within_grad_at(np.asarray(Z0, dtype=np.float64))
+    return terms.surrogate_grad(np.asarray(Z, dtype=np.float64), gen, within, lam, batch)
+
+
+@dataclass(frozen=True)
+class OracleSelector:
+    """Baseline that always returns a fixed support with equal weights."""
+
+    support: tuple
+    d: int
+    name: str = "oracle"
+
+    def select(self, train, kernel, rng):
+        z = np.zeros(train.dim)
+        z[list(self.support)] = 1.0
+        return make_selection(z, self.d)
+
+
+@dataclass(frozen=True)
+class RandomSelector:
+    """Baseline that picks a uniformly random size-d support."""
+
+    d: int
+    name: str = "random"
+
+    def select(self, train, kernel, rng):
+        g = rng.generator()
+        idx = g.choice(train.dim, size=self.d, replace=False)
+        z = np.zeros(train.dim)
+        z[idx] = 1.0
+        return make_selection(z, self.d)

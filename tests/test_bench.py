@@ -20,14 +20,15 @@ from mmdselect.bench import (
     blas_threads,
     block_parameters,
     fdp_ndp,
-    prescreen_then_relax,
     run_power_experiment,
     run_recovery_experiment,
     synth_block_gaussian,
     wishart_sample,
 )
 from mmdselect.core import RandomSource
-from mmdselect.selectors import OracleSelector, RandomSelector, Selector
+from mmdselect.selectors import Selector
+
+from oracles import OracleSelector, RandomSelector
 
 
 def test_wishart_psd_sweep():
@@ -209,15 +210,6 @@ def test_summary_table_format():
     assert "linear" in table
     doc = summary.to_dict()
     assert doc["kind"] == "power" and doc["selectors"][0]["name"] == "linear"
-
-
-def test_prescreen_then_relax_small():
-    spec = SynthSpec(blocks=2, n=30, m=30, mode="shift", seed=RandomSource(2))
-    data, _ = synth_block_gaussian(spec)
-    rep = prescreen_then_relax(data, c=1.0, d=2, prescreen_to=4)
-    assert len(rep.support) <= 2
-    assert rep.method in ("relax", "prescreen+relax")
-    assert abs(np.linalg.norm(rep.z.z) - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("workers", [0, -1])

@@ -69,6 +69,24 @@ def test_missing_file_exits_2(tmp_path):
     assert code in (1, 2)
 
 
+def test_non_finite_cell_exits_2_naming_it(csv_pair, tmp_path, capsys):
+    px, _ = csv_pair
+    py = tmp_path / "bad.csv"
+    py.write_text("1,2,3,4\n5,6,nan,8\n")
+    code = dispatch(["select", "--solver", "linear", "--d", "1", "--x", px, "--y", str(py)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {py}: non-finite cell 'nan' at row 2, column 3\n"
+
+
+def test_lam_with_a_non_gauss_solver_is_ignored(csv_pair, tmp_path):
+    px, py = csv_pair
+    base = ["select", "--solver", "quad-greedy", "--d", "2", "--x", px, "--y", py]
+    code, plain = run(base, tmp_path, "plain.json")
+    code_lam, with_lam = run(base + ["--lam", "0.5"], tmp_path, "lam.json")
+    assert code == code_lam == 0
+    assert plain["selection"] == with_lam["selection"]
+
+
 def test_test_subcommand_deterministic(csv_pair, tmp_path):
     px, py = csv_pair
     args = ["test", "--solver", "linear", "--d", "2", "--x", px, "--y", py,

@@ -100,6 +100,32 @@ def test_load_float_spellings_numpy_rejects(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text, row, col, cell",
+    [
+        ("1,2\n3,nan\n", 2, 2, "nan"),
+        ("nan,1\n2,3\n", 1, 1, "nan"),  # a first line that parses is data, not a header
+        ("a,b\n\n1, inf \n", 3, 2, "inf"),
+        ("\ufeff1,1e400\n2,3\n", 1, 2, "1e400"),
+        ("1_000,-Infinity\n", 1, 2, "-Infinity"),  # a table loadtxt refuses
+    ],
+)
+def test_load_names_the_first_non_finite_cell(tmp_path, text, row, col, cell):
+    finite = write(tmp_path, "y.csv", "1,2\n")
+    bad = write(tmp_path, "x.csv", text)
+    for px, py in ((bad, finite), (finite, bad)):
+        with pytest.raises(DataFormatError) as exc:
+            load_two_sample(px, py)
+        assert str(exc.value) == f"{bad}: non-finite cell {cell!r} at row {row}, column {col}"
+
+
+def test_load_reports_a_bad_cell_before_a_non_finite_one(tmp_path):
+    py = write(tmp_path, "y.csv", "1,2\n")
+    for text, match in (("nan,1\n2,x\n", "non-numeric cell 'x'"), ("nan,1\n2\n", "row 2 has 1")):
+        with pytest.raises(DataFormatError, match=match):
+            load_two_sample(write(tmp_path, "x.csv", text), py)
+
+
+@pytest.mark.parametrize(
     "header, bom, tail", [(None, "", ""), ([f"v{j}" for j in range(60)], "\ufeff", "\n \t\xa0\n")]
 )
 def test_well_formed_table_parses_only_its_first_line_in_python(

@@ -11,13 +11,11 @@ from mmdselect.gauss import (
     extract_selection,
     gauss_objective,
     lambda_grid_select,
-    stochastic_gradient,
-    surrogate,
     write_trajectory,
 )
 from mmdselect.mmd import KernelSpec, mmd_sq
 
-from oracles import central_difference_gradient
+from oracles import central_difference_gradient, stochastic_gradient, surrogate
 
 
 def rand_data(gen, n, m, D, shift=0.0):
@@ -61,16 +59,6 @@ def test_rank_one_identity_with_statistic():
         F = gauss_objective(np.outer(z, z), data, gamma)
         S2 = mmd_sq(KernelSpec.gaussian(gamma), make_selection(z, 5), data)
         assert F == pytest.approx(-S2, abs=1e-10)
-
-
-def test_pair_matrix_rank_one_psd():
-    gen = np.random.default_rng(4)
-    data = rand_data(gen, 3, 3, 4)
-    terms = GaussianPairTerms(data, 0.8)
-    M = terms.pair_matrix(data.X[0], data.Y[1])
-    w = np.linalg.eigvalsh(M)
-    assert w[0] >= -1e-12
-    assert np.linalg.matrix_rank(M, tol=1e-10) <= 1
 
 
 def test_surrogate_anchoring():

@@ -8,18 +8,18 @@ from hypothesis import given, settings
 
 from mmdselect.core import SelectionVector, TwoSampleData, make_selection
 from mmdselect.gauss import gauss_objective
+from mmdselect.mmd import gram as mmd_gram
 from mmdselect.mmd import (
     ConcentrationInputs,
     DegenerateBandwidthError,
     KernelSpec,
     concentration_epsilon,
-    gram,
     kernel_eval,
     median_heuristic,
     mmd_sq,
 )
 
-from oracles import median_heuristic_reference
+from oracles import gram, median_heuristic_reference
 
 LIN = KernelSpec.linear()
 
@@ -118,6 +118,15 @@ def test_gram_matrices_psd():
                 G = gram(spec, zs, pts, pts)
                 w = np.linalg.eigvalsh(0.5 * (G + G.T))
                 assert w[0] >= -1e-8
+
+
+def test_gram_is_gaussian_only():
+    pts = np.ones((2, 2))
+    for spec in (LIN, KernelSpec.quadratic(1.0)):
+        with pytest.raises(ValueError, match="moments, not a Gram matrix"):
+            mmd_gram(spec, sel([1, 0]), pts, pts)
+    G = mmd_gram(KernelSpec.gaussian(1.0), sel([1, 0]), pts, pts)
+    assert np.array_equal(G, gram(KernelSpec.gaussian(1.0), sel([1, 0]), pts, pts))
 
 
 def test_mmd_sq_nonnegative_psd_regime():

@@ -9,13 +9,13 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from oracles import gram_block_stat, gram_permutation_stats
+from oracles import OracleSelector, gram, gram_block_stat, gram_permutation_stats
 
 import mmdselect
 from mmdselect.core import RandomSource, TwoSampleData, derive_stream, make_selection, split_train_test
-from mmdselect.mmd import KernelSpec, gram, mmd_sq
+from mmdselect.mmd import KernelSpec, mmd_sq
 from mmdselect.permutation import permutation_test
-from mmdselect.selectors import OracleSelector, Selector
+from mmdselect.selectors import Selector
 
 # permutation_test draws relabeling t from stream t of this child stream
 PERM_STREAM = 2

@@ -16,7 +16,7 @@ from mmdselect.quad import (
 )
 from mmdselect.trs import lambda_set, trs_max
 
-from oracles import brute_force_quad, dump_instance, load_instance
+from oracles import brute_force_quad
 
 
 def psd_instance(gen, D):
@@ -244,23 +244,6 @@ def test_capped_simplex_projection_properties():
             w = np.clip(w, 0.0, 1.0)
             if abs(w.sum() - d) < 1e-9:
                 assert np.sum((q - v) ** 2) <= np.sum((w - v) ** 2) + 1e-8
-
-
-def test_instance_dump_round_trip(tmp_path):
-    from oracles import load_instance_file, save_instance_file
-
-    gen = np.random.default_rng(9)
-    qp = psd_instance(gen, 4)
-    text = dump_instance(qp, 2)
-    back, d = load_instance(text)
-    assert d == 2
-    assert np.array_equal(back.A, qp.A)
-    assert np.array_equal(back.t, qp.t)
-    assert back.shift == qp.shift and back.offset == qp.offset
-    path = str(tmp_path / "instance.txt")
-    save_instance_file(path, qp, 3)
-    back2, d2 = load_instance_file(path)
-    assert d2 == 3 and np.array_equal(back2.A, qp.A)
 
 
 def test_bnb_node_bound_admissible():

@@ -199,6 +199,18 @@ def test_k1_overflowed_value_raises():
         trs_max(np.array([[1e308]]), np.array([1e308]))
 
 
+@pytest.mark.parametrize(
+    "A", [1e308 * np.ones((2, 2)), -1e308 * np.ones((2, 2))], ids=["value", "residual"]
+)
+def test_overflow_with_zero_linear_term_raises(A):
+    # t = 0 returns before the certificate; eigh overflows to +-inf, and no
+    # value, multiplier or residual may come back as inf
+    with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="overflows float64"):
+        trs_max(A, np.zeros(2))
+    with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="overflows float64"):
+        lambda_set([1, 2], np.pad(A, 1), np.zeros(4))
+
+
 def test_k1_certificate_recorded():
     sol = trs_max(np.array([[2.0]]), np.array([-3.0]))
     assert (sol.value, sol.mu, sol.kkt_residual, sol.hard_case) == (5.0, 3.5, 0.0, False)
