@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import RandomSource, TwoSampleData, derive_stream
 from .mmd import LINEAR, KernelSpec, resolve_kernel
-from .permutation import permutation_test
+from .permutation import _shared_tests
 from .selectors import SOLVER_FAMILIES
 
 MODES = ("shift", "cov_shift", "null")
@@ -233,20 +233,39 @@ def _pin_one_blas_thread() -> None:
 
 
 _POOL_LOCK = threading.Lock()
-_pool = None  # ((pid, processes), executor) of the last pool sweep
+_pool = None  # (processes, executor) of the last pool sweep
 
 
 @atexit.register
 def _close_pool() -> None:
-    """Shut the cached pool down and drop it; a forked child only drops the
-    copy it inherited.  Also run at exit, while the modules the pool uses
-    are still loaded: a pool left to the interpreter's teardown is collected
-    after them, and its clean-up callback then fails with an ignored
-    ``AttributeError``."""
+    """Shut the cached pool down and drop it.  Also run at exit, while the
+    modules the pool uses are still loaded: a pool left to the interpreter's
+    teardown is collected after them, and its clean-up callback then fails
+    with an ignored ``AttributeError``."""
     global _pool
-    if _pool is not None and _pool[0][0] == os.getpid():
+    if _pool is not None:
         _pool[1].shutdown()
     _pool = None
+
+
+def _forget_pool() -> None:
+    """Run in the child after ``os.fork``: the inherited pool and its workers
+    belong to the parent.  The child drops them without a shutdown and takes
+    the workers out of multiprocessing's registry of children, which it
+    would otherwise try to join at exit (an ignored ``AssertionError``: "can
+    only join a child process").  The lock is made afresh, in case another
+    thread of the parent held it at the fork."""
+    global _pool, _POOL_LOCK
+    if _pool is not None:
+        from multiprocessing import process
+
+        process._children.difference_update(_pool[1]._processes.values())
+    _pool = None
+    _POOL_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _main_for_workers():
@@ -265,8 +284,7 @@ def _trial_pool(processes: int):
     first use and kept for later sweeps; a pool of another size is shut
     down first.  A forked child builds its own pool."""
     global _pool
-    key = (os.getpid(), processes)
-    if _pool is not None and _pool[0] == key:
+    if _pool is not None and _pool[0] == processes:
         return _pool[1]
     _close_pool()
     main = sys.modules["__main__"]
@@ -286,7 +304,7 @@ def _trial_pool(processes: int):
         mp_context=multiprocessing.get_context("spawn"),
         initializer=_pin_one_blas_thread,
     )
-    _pool = (key, executor)
+    _pool = (processes, executor)
     return executor
 
 
@@ -355,20 +373,16 @@ def _power_trial(config: ExperimentConfig, t: int) -> list:
     trial_rng = derive_stream(config.rng, t)
     spec = dataclasses.replace(config.spec, seed=derive_stream(trial_rng, 0))
     data, _ = synth_block_gaussian(spec)
-    out = []
-    for sel in config.selectors:
-        rep = permutation_test(
-            data,
-            _selector_kernel(sel),
-            sel,
-            config.n_permutations,
-            config.alpha,
-            config.train_fraction,
-            derive_stream(trial_rng, 1),  # shared across selectors: common random numbers
-            corrected=config.corrected,
-        )
-        out.append(1.0 if rep.reject else 0.0)
-    return out
+    reports = _shared_tests(
+        data,
+        [(_selector_kernel(sel), sel) for sel in config.selectors],
+        config.n_permutations,
+        config.alpha,
+        config.train_fraction,
+        derive_stream(trial_rng, 1),  # shared across selectors: common random numbers
+        corrected=config.corrected,
+    )
+    return [1.0 if rep.reject else 0.0 for rep in reports]
 
 
 def _recovery_trial(config: ExperimentConfig, t: int) -> list:

@@ -61,6 +61,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _overflow_error(what: str) -> ValueError:
+    """The error for model coefficients that overflow float64, which happens
+    for data of huge scale (columns near 1e150 and up)."""
+    return ValueError(f"float64 overflow in {what}; rescale the columns of the data")
+
+
 def _check_symmetric(A, name: str, tol: float) -> np.ndarray:
     """``A`` as a float64 matrix with its symmetric part ``A/2 + A'/2``.
 

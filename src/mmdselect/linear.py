@@ -7,11 +7,12 @@ optimum keeps the d largest coefficients and weights them proportionally.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SelectionVector, TwoSampleData
+from .core import SelectionVector, TwoSampleData, _overflow_error
 from .core import _freeze as _freeze_input
 
 
@@ -31,7 +32,11 @@ class LinearCoefficients:
 
 def linear_coefficients(data: TwoSampleData) -> LinearCoefficients:
     """Per-variable squared gap between the group means."""
-    return LinearCoefficients((data.X.mean(axis=0) - data.Y.mean(axis=0)) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = (data.X.mean(axis=0) - data.Y.mean(axis=0)) ** 2
+    if not np.isfinite(a).all():
+        raise _overflow_error("the linear kernel's squared mean gaps")
+    return LinearCoefficients(a)
 
 
 def linear_select(coeffs: LinearCoefficients, d: int) -> tuple[SelectionVector, float]:
@@ -49,7 +54,10 @@ def linear_select(coeffs: LinearCoefficients, d: int) -> tuple[SelectionVector, 
         raise ValueError(f"budget d={d} outside [1, {D}]")
     order = np.argsort(-a, kind="stable")
     top = order[:d]
-    norm = float(np.linalg.norm(a[top]))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a[top]))
+    if not math.isfinite(norm):
+        raise _overflow_error("the norm of the linear kernel's coefficients")
     z = np.zeros(D)
     if norm == 0.0:
         z[:d] = 1.0 / np.sqrt(d)

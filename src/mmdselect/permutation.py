@@ -19,6 +19,10 @@ All sums are numpy reductions, not BLAS products, so the statistics are
 bit-identical for any BLAS thread count.  A relabeling that reproduces the
 observed partition, or its swap when n = m, gives exactly the observed
 statistic, and such exact ties count as exceedances (``T_t >= T``).
+
+The selectors of one power trial share the split and the training stream,
+so the experiment driver tests them in one pass: one split, and each
+relabeling drawn and sorted once and scored by every selector.
 """
 
 from __future__ import annotations
@@ -104,6 +108,29 @@ def permutation_test(
     permutations reshuffle pooled test rows into groups of the test-split
     sizes and never touch training rows.
     """
+    (report,) = _shared_tests(
+        data, ((kernel, selector),), n_permutations, alpha, train_fraction, rng, corrected
+    )
+    return report
+
+
+def _shared_tests(
+    data: TwoSampleData,
+    pairs,
+    n_permutations: int,
+    alpha: float,
+    train_fraction: float = 0.5,
+    rng: RandomSource | None = None,
+    corrected: bool = False,
+) -> list:
+    """``[permutation_test(data, kernel, selector, ...) for kernel, selector
+    in pairs]``, with one split and one relabeling pass for all of them.
+
+    The split and each selection draw from the same streams of ``rng`` as a
+    lone test would, and relabeling ``t`` is drawn and sorted once and then
+    scored by every pair, so each report is bit-identical to the lone call's.
+    Each report's ``stage_s`` times the shared stages, all pairs included.
+    """
     if n_permutations < 1:
         raise ValueError("n_permutations must be >= 1")
     if not 0.0 < alpha < 1.0:
@@ -112,46 +139,63 @@ def permutation_test(
 
     start = time.perf_counter()
     train, test = split_train_test(data, train_fraction, derive_stream(rng, _SPLIT_STREAM))
-    kernel = resolve_kernel(kernel, train, getattr(selector, "d", None))
-    selection = selector.select(train, kernel, derive_stream(rng, _TRAIN_STREAM))
+    selections = []
+    for kernel, selector in pairs:
+        kernel = resolve_kernel(kernel, train, getattr(selector, "d", None))
+        selections.append(
+            (kernel, selector.select(train, kernel, derive_stream(rng, _TRAIN_STREAM)))
+        )
     selected = time.perf_counter()
 
     pooled = np.vstack([test.X, test.Y])
     n_te, m_te = test.n, test.m
-    if kernel.family == GAUSSIAN:
-        calibration = "gram"
-        statistic = partial(_gram_stat, gram(kernel, selection, pooled, pooled))
-    else:
-        calibration = "moments"
-        statistic = partial(moment_mmd_sq, *moment_features(kernel, selection, pooled))
+    calibrations, statistics = [], []
+    for kernel, selection in selections:
+        if kernel.family == GAUSSIAN:
+            calibrations.append("gram")
+            statistics.append(partial(_gram_stat, gram(kernel, selection, pooled, pooled)))
+        else:
+            calibrations.append("moments")
+            statistics.append(
+                partial(moment_mmd_sq, *moment_features(kernel, selection, pooled))
+            )
     base = np.arange(n_te + m_te)
-    stat = statistic(base[:n_te], base[n_te:])
+    stats = [statistic(base[:n_te], base[n_te:]) for statistic in statistics]
 
     perm_root = derive_stream(rng, _PERM_STREAM)
-    permuted = np.empty(n_permutations)
+    permuted = np.empty((len(pairs), n_permutations))
     for t in range(n_permutations):
         p = derive_stream(perm_root, t).generator().permutation(n_te + m_te)
-        permuted[t] = statistic(np.sort(p[:n_te]), np.sort(p[n_te:]))
+        ix, iy = np.sort(p[:n_te]), np.sort(p[n_te:])
+        for row, statistic in zip(permuted, statistics):
+            row[t] = statistic(ix, iy)
     done = time.perf_counter()
 
-    exceed = int(np.count_nonzero(permuted >= stat))
-    if corrected:
-        p_value = (1 + exceed) / (1 + n_permutations)
-    else:
-        p_value = exceed / n_permutations
-    return PermutationReport(
-        statistic=float(stat),
-        permuted=permuted,
-        p_value=float(p_value),
-        alpha=float(alpha),
-        reject=bool(p_value < alpha),
-        selection=selection,
-        kernel=kernel,
-        n_permutations=n_permutations,
-        corrected=corrected,
-        train_sizes=(train.n, train.m),
-        test_sizes=(n_te, m_te),
-        seed=(rng.master_seed, rng.stream_id),
-        calibration=calibration,
-        stage_s={"split_select": selected - start, "calibration": done - selected},
-    )
+    reports = []
+    for (kernel, selection), calibration, stat, row in zip(
+        selections, calibrations, stats, permuted
+    ):
+        exceed = int(np.count_nonzero(row >= stat))
+        if corrected:
+            p_value = (1 + exceed) / (1 + n_permutations)
+        else:
+            p_value = exceed / n_permutations
+        reports.append(
+            PermutationReport(
+                statistic=float(stat),
+                permuted=row,
+                p_value=float(p_value),
+                alpha=float(alpha),
+                reject=bool(p_value < alpha),
+                selection=selection,
+                kernel=kernel,
+                n_permutations=n_permutations,
+                corrected=corrected,
+                train_sizes=(train.n, train.m),
+                test_sizes=(n_te, m_te),
+                seed=(rng.master_seed, rng.stream_id),
+                calibration=calibration,
+                stage_s={"split_select": selected - start, "calibration": done - selected},
+            )
+        )
+    return reports

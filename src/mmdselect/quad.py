@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SelectionVector, TwoSampleData, make_selection
-from .core import _check_symmetric
+from .core import _check_symmetric, _overflow_error
 from .core import _freeze as _freeze_input
 from .spectrahedron import SpectraPoint, mirror_step, spectral_norm
-from .trs import TrsSolution, lambda_set, trs_max
+from .trs import TrsSolution, _embedded, _sphere_stack, lambda_set, trs_max
 
 GREEDY = "greedy"
 LOCAL = "local"
@@ -82,10 +82,13 @@ def assemble_quadratic(data: TwoSampleData, c: float) -> QuadProblem:
     """
     if not c > 0:
         raise ValueError("quadratic bandwidth c must be positive")
-    Gx = data.X.T @ data.X / data.n
-    Gy = data.Y.T @ data.Y / data.m
-    A = (Gx - Gy) ** 2
-    t = 2.0 * c * (data.X.mean(axis=0) - data.Y.mean(axis=0)) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        Gx = data.X.T @ data.X / data.n
+        Gy = data.Y.T @ data.Y / data.m
+        A = (Gx - Gy) ** 2
+        t = 2.0 * c * (data.X.mean(axis=0) - data.Y.mean(axis=0)) ** 2
+    if not (np.isfinite(A).all() and np.isfinite(t).all()):
+        raise _overflow_error("the quadratic kernel's squared moment gaps")
     return QuadProblem.from_matrices(A, t)
 
 
@@ -117,22 +120,20 @@ def _report(qp: QuadProblem, d: int, sol: TrsSolution, method: str, **kw) -> Qua
 
 
 def greedy_select(qp: QuadProblem, d: int, tol: float = 1e-9) -> QuadSolveReport:
-    """Forward selection: d rounds of best single-feature augmentation."""
+    """Forward selection: d rounds of best single-feature augmentation.
+
+    Each round scores every augmented support in one stacked oracle call and
+    keeps the first maximum in index order."""
     D = qp.dim
     if not 1 <= d <= D:
         raise ValueError(f"budget d={d} outside [1, {D}]")
     S: list[int] = []
-    for _ in range(min(d, D)):
-        best_val, best_j = -np.inf, -1
-        for j in range(D):
-            if j in S:
-                continue
-            v = lambda_set(S + [j], qp.A, qp.t, tol).value
-            if v > best_val:
-                best_val, best_j = v, j
-        S.append(best_j)
-    sol = lambda_set(S, qp.A, qp.t, tol)
-    return _report(qp, d, sol, GREEDY)
+    for _ in range(d):
+        rows = [sorted(S + [j]) for j in range(D) if j not in S]
+        lanes = _sphere_stack(qp.A, qp.t, rows, tol)
+        best = max(range(len(rows)), key=lambda i: lanes[i][0])
+        S = rows[best]
+    return _report(qp, d, _embedded(D, S, lanes[best]), GREEDY)
 
 
 def local_search(qp: QuadProblem, d: int, init, tol: float = 1e-9) -> QuadSolveReport:

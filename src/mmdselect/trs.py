@@ -12,6 +12,11 @@ norm.
 
 ``lambda_set`` restricts the oracle to a coordinate subset and re-embeds the
 maximizer, which is how every subset-selection routine scores a support.
+Both are the one-lane case of a stacked oracle that scores many supports of
+one ``(A, t)`` with one stacked ``eigh``; greedy selection scores each round
+with it.  Each lane still takes the scalar branches and Brent's method (one
+variable: the closed form, elementwise over the stack), so a support's answer
+is bit-identical whether it is scored alone or in a stack.
 """
 
 from __future__ import annotations
@@ -111,11 +116,11 @@ def _brentq(f, xa: float, xb: float, xtol=1e-15, rtol=8.9e-16, maxiter=200) -> f
     raise RuntimeError(f"Brent's method failed to converge after {maxiter} iterations")
 
 
-def _secular(lam: np.ndarray, Q: np.ndarray, t: np.ndarray, tnorm: float):
-    """Solve ||z(mu)|| = 1 for mu >= lambda_max(A) given ``A = Q diag(lam) Q'``."""
+def _secular(lam: np.ndarray, Q: np.ndarray, tt: np.ndarray, tnorm: float):
+    """Solve ||z(mu)|| = 1 for mu >= lambda_max(A) given ``A = Q diag(lam) Q'``
+    and ``tt = Q't``."""
     k = lam.shape[0]
     lmax = float(lam[-1])
-    tt = Q.T @ t
     scale = max(1.0, abs(lmax), tnorm)
     lead = lam >= lmax - 1e-10 * scale
     t_lead = float(np.linalg.norm(tt[lead]))
@@ -169,8 +174,10 @@ def _secular(lam: np.ndarray, Q: np.ndarray, t: np.ndarray, tnorm: float):
     return z, float(mu), hard
 
 
-def trs_max(A: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> TrsSolution:
-    """Global maximum of ``z'Az + t'z`` over the unit sphere."""
+def _oracle_input(A, t, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """``A`` and ``t`` as float64 after the checks every oracle call makes:
+    positive ``tol``, finite entries, symmetric ``A`` (its symmetric part is
+    used) and matching dimensions."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     A = np.asarray(A, dtype=np.float64)
@@ -178,27 +185,14 @@ def trs_max(A: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> TrsSolution:
     if not (np.isfinite(A).all() and np.isfinite(t).all()):
         raise ValueError("A and t must be finite")
     A = _check_symmetric(A, "A", 1e-10)
-    k = A.shape[0]
-    if t.shape[0] != k:
+    if t.shape[0] != A.shape[0]:
         raise ValueError("t must match the dimension of A")
-    tnorm = float(np.linalg.norm(t))
+    return A, t
 
-    if k == 1:
-        lmax = float(A[0, 0])
-        z = np.array([1.0 if t[0] >= 0 else -1.0])
-        mu = lmax + abs(float(t[0])) / 2.0
-        value = lmax + abs(float(t[0]))
-        hard = bool(t[0] == 0.0)
-    else:
-        lam, Q = np.linalg.eigh(A)
-        lmax = float(lam[-1])
-        if tnorm == 0.0:
-            z = _canonical_sign(Q[:, -1])
-            res = _residual(A, t, z, lmax)
-            _check_finite(lmax, lmax, res)
-            return TrsSolution(lmax, z, lmax, res, hard_case=True)
-        z, mu, hard = _secular(lam, Q, t, tnorm)
-        value = float(z @ A @ z + t @ z)
+
+def _certified(A, t, z, mu: float, lmax: float, value: float, hard: bool, tnorm: float, tol: float):
+    """One lane's answer, once its KKT residual and ``mu >= lambda_max`` pass
+    the certificate and nothing overflowed; otherwise ``ArithmeticError``."""
     res = _residual(A, t, z, mu)
     bound = max(tol, 1e-6) * (1.0 + tnorm)
     # written so that a NaN residual or multiplier fails, as does an overflowed bound
@@ -207,7 +201,88 @@ def trs_max(A: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> TrsSolution:
             f"sphere maximizer failed its optimality certificate (residual {res:.3e})"
         )
     _check_finite(value, mu, res)
+    return value, z, mu, res, hard
+
+
+def _solve_singletons(a: np.ndarray, t: np.ndarray, tol: float) -> list:
+    """Lanes of the k = 1 problems ``max a z^2 + t z`` over ``z = +-1``, in
+    closed form and elementwise over the stack.  With ``z = +-1`` every
+    product is exact, and ``sqrt(x * x)`` is ``np.linalg.norm`` of a
+    one-entry vector, so each lane is what a scalar evaluation gives."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails below
+        z = np.where(t >= 0, 1.0, -1.0)
+        mu = a + np.abs(t) / 2.0
+        value = a + np.abs(t)
+        r = 2.0 * (mu * z - a * z) - t
+        res = np.sqrt(r * r)
+        tnorm = np.sqrt(t * t)
+        bound = max(tol, 1e-6) * (1.0 + tnorm)
+        ok = np.isfinite(bound) & (res <= bound) & (mu >= a - max(tol, 1e-7))
+        ok &= np.isfinite(value) & np.isfinite(mu)
+    for i in np.flatnonzero(~ok):  # the scalar certificate raises the lane's error
+        _certified(
+            a[i : i + 1, None], t[i : i + 1], z[i : i + 1], float(mu[i]), float(a[i]),
+            float(value[i]), bool(t[i] == 0.0), float(tnorm[i]), tol,
+        )
+    return [
+        (float(v), z[i : i + 1], float(m), float(e), bool(h))
+        for i, (v, m, e, h) in enumerate(zip(value, mu, res, t == 0.0))
+    ]
+
+
+def _solve_stack(As: np.ndarray, ts: np.ndarray, tol: float) -> list:
+    """Sphere maxima of the problems ``(As[i], ts[i])``, all of one size k,
+    from one stacked ``eigh`` and one stacked ``Q't``; each lane then runs the
+    scalar branches and gets its own certificate (k = 1: see
+    ``_solve_singletons``).  The stacked products equal
+    the per-matrix ones bit for bit, so a lane's answer does not depend on the
+    stack it sits in.  The inputs are taken as validated.  Returns one
+    ``(value, z, mu, kkt_residual, hard_case)`` tuple per lane."""
+    c, k = ts.shape
+    if k == 1:
+        return _solve_singletons(As[:, 0, 0], ts[:, 0], tol)
+    lanes = []
+    lam, Q = np.linalg.eigh(As)
+    tts = (ts[:, None, :] @ Q)[:, 0, :]
+    for i in range(c):
+        a, tv = As[i], ts[i]
+        lmax = float(lam[i, -1])
+        tnorm = float(np.linalg.norm(tv))
+        if tnorm == 0.0:
+            # no certificate: its absolute bound fails large exact answers
+            z = _canonical_sign(Q[i, :, -1])
+            res = _residual(a, tv, z, lmax)
+            _check_finite(lmax, lmax, res)
+            lanes.append((lmax, z, lmax, res, True))
+            continue
+        z, mu, hard = _secular(lam[i], Q[i], tts[i], tnorm)
+        value = float(z @ a @ z + tv @ z)
+        lanes.append(_certified(a, tv, z, mu, lmax, value, hard, tnorm, tol))
+    return lanes
+
+
+def _sphere_stack(A, t, supports, tol: float = 1e-9) -> list:
+    """Oracle lanes of several supports of one ``(A, t)``: ``A`` and ``t`` are
+    validated once, and ``supports`` holds sorted, duplicate-free index rows
+    of one length.  Lane ``i`` equals ``lambda_set(supports[i], A, t, tol)``
+    before re-embedding (see ``_embedded``)."""
+    A, t = _oracle_input(A, t, tol)
+    rows = np.asarray(supports, dtype=np.intp)
+    return _solve_stack(A[rows[:, :, None], rows[:, None, :]], t[rows], tol)
+
+
+def _embedded(D: int, idx, lane) -> TrsSolution:
+    """A support's lane as a ``TrsSolution`` in the ambient dimension ``D``."""
+    value, z_sub, mu, res, hard = lane
+    z = np.zeros(D)
+    z[idx] = z_sub
     return TrsSolution(value, z, mu, res, hard)
+
+
+def trs_max(A: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> TrsSolution:
+    """Global maximum of ``z'Az + t'z`` over the unit sphere."""
+    A, t = _oracle_input(A, t, tol)
+    return TrsSolution(*_solve_stack(A[None], t[None], tol)[0])
 
 
 def lambda_set(S, A: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> TrsSolution:
@@ -223,7 +298,4 @@ def lambda_set(S, A: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> TrsSolutio
         raise ValueError("support indices outside the variable range")
     if len(set(idx)) != len(idx):
         raise ValueError("support contains repeated indices")
-    sub = trs_max(np.asarray(A)[np.ix_(idx, idx)], np.asarray(t)[idx], tol)
-    z = np.zeros(D)
-    z[idx] = sub.z
-    return TrsSolution(sub.value, z, sub.mu, sub.kkt_residual, sub.hard_case)
+    return _embedded(D, idx, _sphere_stack(A, t, [idx], tol)[0])

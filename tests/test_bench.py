@@ -463,6 +463,9 @@ def test_forked_child_builds_its_own_pool(tmp_path):
     assert len(parent_pool) == 2
     assert set(child_rows).isdisjoint(parent_pool)
     assert set(rows) <= set(parent_pool)  # the parent's pool survives the child
+    # the child forgets the parent's workers at the fork, so it does not try
+    # to join them at exit
+    assert "Exception ignored" not in run.stderr, run.stderr
 
 
 _UNGUARDED_SWEEP = """
@@ -476,17 +479,24 @@ run_power_experiment(ExperimentConfig(
 """
 
 
-def _last_stderr_line(argv, tmp_path, **kw):
+def _last_error_line(argv, tmp_path, exception, **kw):
+    """The last stderr line that starts with ``exception``: the traceback's
+    last line, which a ``resource_tracker`` warning about leaked semaphores
+    can follow."""
     run = subprocess.run(
         argv, env=_subprocess_env(), cwd=tmp_path, capture_output=True, text=True,
         timeout=120, **kw,
     )
     assert run.returncode == 1, run.stderr
-    return run.stderr.strip().splitlines()[-1]
+    lines = [line for line in run.stderr.splitlines() if line.startswith(exception)]
+    assert lines, run.stderr
+    return lines[-1]
 
 
 def test_sweep_read_from_stdin_says_why_no_pool_starts(tmp_path):
-    last = _last_stderr_line([sys.executable, "-"], tmp_path, input=_UNGUARDED_SWEEP)
+    last = _last_error_line(
+        [sys.executable, "-"], tmp_path, "RuntimeError:", input=_UNGUARDED_SWEEP
+    )
     assert last.startswith("RuntimeError: cannot start trial worker processes")
     assert "'<stdin>' is not a file" in last
 
@@ -494,6 +504,8 @@ def test_sweep_read_from_stdin_says_why_no_pool_starts(tmp_path):
 def test_unguarded_script_names_the_main_guard(tmp_path):
     script = tmp_path / "unguarded.py"
     script.write_text(_UNGUARDED_SWEEP)
-    last = _last_stderr_line([sys.executable, str(script)], tmp_path)
+    last = _last_error_line(
+        [sys.executable, str(script)], tmp_path, "concurrent.futures.process.BrokenProcessPool:"
+    )
     assert last.startswith("concurrent.futures.process.BrokenProcessPool:")
     assert str(script) in last and 'if __name__ == "__main__":' in last

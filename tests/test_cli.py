@@ -78,6 +78,34 @@ def test_non_finite_cell_exits_2_naming_it(csv_pair, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {py}: non-finite cell 'nan' at row 2, column 3\n"
 
 
+@pytest.mark.parametrize("command", ["select", "test"])
+@pytest.mark.parametrize(
+    "solver, what",
+    [
+        ("linear", "the norm of the linear kernel's coefficients"),
+        ("quad-greedy", "the quadratic kernel's squared moment gaps"),
+        ("quad-exact", "the quadratic kernel's squared moment gaps"),
+    ],
+)
+def test_overflowing_coefficients_exit_2_naming_it(
+    command, solver, what, csv_pair, tmp_path, capsys, recwarn
+):
+    # finite cells near 1e150: the coefficients (squared gaps, or their
+    # norm) overflow float64
+    data = load_two_sample(*csv_pair)
+    paths = []
+    for i, M in enumerate((data.X, data.Y)):
+        big = tmp_path / f"big{i}.csv"
+        big.write_text("\n".join(",".join(repr(float(1e150 * v)) for v in row) for row in M) + "\n")
+        paths.append(str(big))
+    code = dispatch([command, "--solver", solver, "--d", "2", "--x", paths[0], "--y", paths[1]])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: float64 overflow in {what}; rescale the columns of the data\n"
+    )
+    assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
 def test_lam_with_a_non_gauss_solver_is_ignored(csv_pair, tmp_path):
     px, py = csv_pair
     base = ["select", "--solver", "quad-greedy", "--d", "2", "--x", px, "--y", py]

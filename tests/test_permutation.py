@@ -14,7 +14,7 @@ from oracles import OracleSelector, gram, gram_block_stat, gram_permutation_stat
 import mmdselect
 from mmdselect.core import RandomSource, TwoSampleData, derive_stream, make_selection, split_train_test
 from mmdselect.mmd import KernelSpec, mmd_sq
-from mmdselect.permutation import permutation_test
+from mmdselect.permutation import _shared_tests, permutation_test
 from mmdselect.selectors import Selector
 
 # permutation_test draws relabeling t from stream t of this child stream
@@ -364,3 +364,25 @@ def test_report_diagnostics_stay_out_of_to_dict(kernel, calibration):
         "statistic", "p_value", "alpha", "reject", "n_permutations", "corrected",
         "train_sizes", "test_sizes", "seed",
     }
+
+
+def test_shared_pass_matches_separate_tests():
+    # the selectors of a power trial are tested in one pass over one split
+    gen = np.random.default_rng(6)
+    data = iid_data(gen, 30, 26, 6, shift=0.3)
+    pairs = [
+        (KernelSpec.linear(), Selector("linear", 2)),
+        (KernelSpec("quadratic"), Selector("quad-greedy", 2)),
+        (KernelSpec("gaussian"), Selector("gauss-ccp", 2, {"T_out": 1, "T_in": 10, "batch": 32})),
+    ]
+    rng = RandomSource(9, 4)
+    shared = _shared_tests(data, pairs, 40, 0.1, 0.5, rng)
+    assert [rep.calibration for rep in shared] == ["moments", "moments", "gram"]
+    for (kernel, selector), rep in zip(pairs, shared):
+        alone = permutation_test(data, kernel, selector, 40, 0.1, 0.5, rng)
+        assert rep.kernel == alone.kernel
+        assert np.array_equal(rep.selection.z, alone.selection.z)
+        assert rep.statistic == alone.statistic
+        assert np.array_equal(rep.permuted, alone.permuted)
+        assert rep.p_value == alone.p_value and rep.reject == alone.reject
+        assert rep.to_dict() == alone.to_dict()

@@ -8,10 +8,14 @@ node counts, values within 1e-12 relative.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mmdselect
 from mmdselect.bench import SynthSpec, synth_block_gaussian
 from mmdselect.core import RandomSource
 from mmdselect.mmd import KernelSpec, resolve_kernel
@@ -56,3 +60,41 @@ def test_golden_quadratic_selectors(case):
     assert got["support"] == want["support"]
     assert got["nodes"] == want["nodes"]
     assert got["value"] == pytest.approx(want["value"], rel=1e-12, abs=0.0)
+
+
+_GREEDY_SCRIPT = """
+import hashlib, sys
+from test_quad_golden import golden_cases
+from mmdselect.bench import SynthSpec, synth_block_gaussian
+from mmdselect.core import RandomSource
+from mmdselect.mmd import KernelSpec, resolve_kernel
+from mmdselect.quad import assemble_quadratic, greedy_select
+
+for solver, blocks, d, seed in golden_cases():
+    if solver != "quad-greedy":
+        continue
+    data, _ = synth_block_gaussian(
+        SynthSpec(blocks=blocks, n=100, m=100, mode="cov_shift", seed=RandomSource(seed))
+    )
+    kernel = resolve_kernel(KernelSpec("quadratic"), data, d)
+    rep = greedy_select(assemble_quadratic(data, kernel.bandwidth), d)
+    print(rep.support, rep.value.hex(), hashlib.sha256(rep.z.z.tobytes()).hexdigest())
+"""
+
+
+def test_greedy_bit_identical_across_blas_thread_counts():
+    # each greedy round is one stacked oracle call: stacked eigh and Q't
+    # must not depend on the BLAS thread count
+    src = str(Path(mmdselect.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        paths = (src, str(Path(__file__).parent), env.get("PYTHONPATH"))
+        env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+        run = subprocess.run(
+            [sys.executable, "-c", _GREEDY_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        outputs.append(run.stdout)
+    assert len(outputs[0].splitlines()) == 10
+    assert outputs[0] == outputs[1]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from scipy.optimize import brentq
 
 import mmdselect
-from mmdselect.trs import _brentq, lambda_set, trs_max
+from mmdselect.trs import _brentq, _sphere_stack, lambda_set, trs_max
 
 from oracles import dual_trs_value, grid_sphere_max
 
@@ -307,6 +307,72 @@ def test_oracle_matches_dual_value(k, hard, basis_seed, data):
     assert sol.mu >= float(np.linalg.eigvalsh(A)[-1]) - 1e-7
     assert sol.value == pytest.approx(float(sol.z @ A @ sol.z + t @ sol.z), abs=1e-9)
     assert sol.value == pytest.approx(dual_trs_value(A, t), rel=1e-8, abs=1e-8)
+
+
+def _block(lam, tt, regime, basis_seed):
+    """A k x k problem of the given regime, with spectrum ``lam``."""
+    k = len(lam)
+    if regime == "zero":
+        tt = np.zeros(k)
+    elif regime == "hard":
+        tt = np.where(lam == lam.max(), 0.0, tt)  # orthogonal to the leading eigenspace
+    elif regime == "floor":
+        tt = tt * 1e-30  # the secular root is within rounding of lambda_max
+    Q, _ = np.linalg.qr(np.random.default_rng(basis_seed).standard_normal((k, k)))
+    A = (Q * lam) @ Q.T
+    return 0.5 * (A + A.T), Q @ tt
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 5),
+    regimes=st.lists(
+        st.sampled_from(["interior", "hard", "floor", "zero"]), min_size=1, max_size=5
+    ),
+    mixed=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_stacked_oracle_matches_trs_max_bit_for_bit(k, regimes, mixed, seed, data):
+    # a block-diagonal (A, t): each block's support is one lane of its
+    # regime, and supports across blocks mix them
+    D = k * len(regimes)
+    A, t = np.zeros((D, D)), np.zeros(D)
+    for b, regime in enumerate(regimes):
+        lam = data.draw(hnp.arrays(np.float64, k, elements=eigenvalues))
+        tt = data.draw(hnp.arrays(np.float64, k, elements=coefficients))
+        sl = slice(b * k, (b + 1) * k)
+        A[sl, sl], t[sl] = _block(lam, tt, regime, seed + b)
+    gen = np.random.default_rng(seed)
+    rows = [list(range(b * k, (b + 1) * k)) for b in range(len(regimes))]
+    rows += [sorted(gen.choice(D, size=k, replace=False).tolist()) for _ in range(mixed)]
+    lanes = _sphere_stack(A, t, rows)
+    assert len(lanes) == len(rows)
+    for idx, (value, z, mu, res, hard) in zip(rows, lanes):
+        want = trs_max(A[np.ix_(idx, idx)], t[idx])
+        assert value == want.value
+        assert np.array_equal(z, want.z)
+        assert mu == want.mu
+        assert res == want.kkt_residual
+        assert hard == want.hard_case
+        if k == 1:
+            # the elementwise closed form is the scalar arithmetic
+            a, tj = float(A[idx[0], idx[0]]), float(t[idx[0]])
+            zs = np.array([1.0 if tj >= 0 else -1.0])
+            assert (value, mu) == (a + abs(tj), a + abs(tj) / 2.0)
+            assert np.array_equal(z, zs)
+            assert res == float(np.linalg.norm(2.0 * (mu * zs - A[np.ix_(idx, idx)] @ zs) - tj))
+
+
+def test_stacked_oracle_certifies_every_lane():
+    # the second lane's ||t|| overflows, so its certificate fails; a stack
+    # fails as that lane alone does
+    A = np.diag([1.0, 2.0, 1e300, 1e300])
+    t = np.array([1.0, 1.0, 1e300, 1e300])
+    for rows in ([[0], [2]], [[0, 1], [2, 3]]):
+        _sphere_stack(A, t, rows[:1])
+        with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="certificate"):
+            _sphere_stack(A, t, rows)
 
 
 def test_package_imports_no_scipy():
