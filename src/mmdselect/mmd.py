@@ -29,8 +29,6 @@ QUADRATIC = "quadratic"
 GAUSSIAN = "gaussian"
 _FAMILIES = (LINEAR, QUADRATIC, GAUSSIAN)
 
-_add = np.add.reduce  # np.sum's reduction, called directly
-
 
 class DegenerateBandwidthError(ValueError):
     """All cross-group distances are identical; the median heuristic is undefined."""
@@ -157,10 +155,8 @@ def moment_mmd_sq(F: np.ndarray, w: np.ndarray, ix: np.ndarray, iy: np.ndarray) 
     order and give bit-identical values, and swapping the sets negates the
     mean gap exactly.
     """
-    # ndarray.mean's own arithmetic (a sum, then a division by the count),
-    # without its dispatch: this runs once per relabeling
-    gap = _add(F.take(ix, axis=1), axis=1) / len(ix) - _add(F.take(iy, axis=1), axis=1) / len(iy)
-    return float(_add(w * gap**2))
+    gap = F.take(ix, axis=1).mean(axis=1) - F.take(iy, axis=1).mean(axis=1)
+    return float(np.sum(w * gap**2))
 
 
 def mmd_sq(spec: KernelSpec, z, data: TwoSampleData) -> float:

@@ -123,7 +123,9 @@ def greedy_select(qp: QuadProblem, d: int, tol: float = 1e-9) -> QuadSolveReport
     """Forward selection: d rounds of best single-feature augmentation.
 
     Each round scores every augmented support in one stacked oracle call and
-    keeps the first maximum in index order."""
+    keeps the first maximum in index order.  The call gathers its sub-matrices
+    in bounded stacks (``trs._STACK_ENTRIES``), so a round holds O(D d) lane
+    results plus at most a few MiB of sub-matrices and their eigenvectors."""
     D = qp.dim
     if not 1 <= d <= D:
         raise ValueError(f"budget d={d} outside [1, {D}]")

@@ -15,8 +15,8 @@ maximizer, which is how every subset-selection routine scores a support.
 Both are the one-lane case of a stacked oracle that scores many supports of
 one ``(A, t)`` with one stacked ``eigh``; greedy selection scores each round
 with it.  Each lane still takes the scalar branches and Brent's method (one
-variable: the closed form, elementwise over the stack), so a support's answer
-is bit-identical whether it is scored alone or in a stack.
+variable: the closed form), so a support's answer is bit-identical whether it
+is scored alone or in a stack.
 """
 
 from __future__ import annotations
@@ -204,71 +204,63 @@ def _certified(A, t, z, mu: float, lmax: float, value: float, hard: bool, tnorm:
     return value, z, mu, res, hard
 
 
-def _solve_singletons(a: np.ndarray, t: np.ndarray, tol: float) -> list:
-    """Lanes of the k = 1 problems ``max a z^2 + t z`` over ``z = +-1``, in
-    closed form and elementwise over the stack.  With ``z = +-1`` every
-    product is exact, and ``sqrt(x * x)`` is ``np.linalg.norm`` of a
-    one-entry vector, so each lane is what a scalar evaluation gives."""
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails below
-        z = np.where(t >= 0, 1.0, -1.0)
-        mu = a + np.abs(t) / 2.0
-        value = a + np.abs(t)
-        r = 2.0 * (mu * z - a * z) - t
-        res = np.sqrt(r * r)
-        tnorm = np.sqrt(t * t)
-        bound = max(tol, 1e-6) * (1.0 + tnorm)
-        ok = np.isfinite(bound) & (res <= bound) & (mu >= a - max(tol, 1e-7))
-        ok &= np.isfinite(value) & np.isfinite(mu)
-    for i in np.flatnonzero(~ok):  # the scalar certificate raises the lane's error
-        _certified(
-            a[i : i + 1, None], t[i : i + 1], z[i : i + 1], float(mu[i]), float(a[i]),
-            float(value[i]), bool(t[i] == 0.0), float(tnorm[i]), tol,
-        )
-    return [
-        (float(v), z[i : i + 1], float(m), float(e), bool(h))
-        for i, (v, m, e, h) in enumerate(zip(value, mu, res, t == 0.0))
-    ]
-
-
 def _solve_stack(As: np.ndarray, ts: np.ndarray, tol: float) -> list:
-    """Sphere maxima of the problems ``(As[i], ts[i])``, all of one size k,
-    from one stacked ``eigh`` and one stacked ``Q't``; each lane then runs the
-    scalar branches and gets its own certificate (k = 1: see
-    ``_solve_singletons``).  The stacked products equal
-    the per-matrix ones bit for bit, so a lane's answer does not depend on the
-    stack it sits in.  The inputs are taken as validated.  Returns one
+    """Sphere maxima of the problems ``(As[i], ts[i])``, all of one size k.
+    For k >= 2 they share one stacked ``eigh`` and one stacked ``Q't``; the
+    stacked products equal the per-matrix ones bit for bit, so a lane's
+    answer does not depend on the stack it sits in.  Each lane then runs the
+    scalar branches (k = 1: the closed form) and gets its own certificate.
+    The inputs are taken as validated.  Returns one
     ``(value, z, mu, kkt_residual, hard_case)`` tuple per lane."""
     c, k = ts.shape
-    if k == 1:
-        return _solve_singletons(As[:, 0, 0], ts[:, 0], tol)
+    if k > 1:
+        lam, Q = np.linalg.eigh(As)
+        tts = (ts[:, None, :] @ Q)[:, 0, :]
     lanes = []
-    lam, Q = np.linalg.eigh(As)
-    tts = (ts[:, None, :] @ Q)[:, 0, :]
     for i in range(c):
         a, tv = As[i], ts[i]
-        lmax = float(lam[i, -1])
         tnorm = float(np.linalg.norm(tv))
-        if tnorm == 0.0:
-            # no certificate: its absolute bound fails large exact answers
-            z = _canonical_sign(Q[i, :, -1])
-            res = _residual(a, tv, z, lmax)
-            _check_finite(lmax, lmax, res)
-            lanes.append((lmax, z, lmax, res, True))
-            continue
-        z, mu, hard = _secular(lam[i], Q[i], tts[i], tnorm)
-        value = float(z @ a @ z + tv @ z)
+        if k == 1:
+            lmax = float(a[0, 0])
+            z = np.array([1.0 if tv[0] >= 0 else -1.0])
+            mu = lmax + abs(float(tv[0])) / 2.0
+            value = lmax + abs(float(tv[0]))
+            hard = bool(tv[0] == 0.0)
+        else:
+            lmax = float(lam[i, -1])
+            if tnorm == 0.0:
+                # no certificate: its absolute bound fails large exact answers
+                z = _canonical_sign(Q[i, :, -1])
+                res = _residual(a, tv, z, lmax)
+                _check_finite(lmax, lmax, res)
+                lanes.append((lmax, z, lmax, res, True))
+                continue
+            z, mu, hard = _secular(lam[i], Q[i], tts[i], tnorm)
+            value = float(z @ a @ z + tv @ z)
         lanes.append(_certified(a, tv, z, mu, lmax, value, hard, tnorm, tol))
     return lanes
+
+
+# Sub-matrix entries one stacked call gathers at most (2 MiB of float64), so
+# a round's peak memory stays bounded however many supports it scores.
+_STACK_ENTRIES = 1 << 18
 
 
 def _sphere_stack(A, t, supports, tol: float = 1e-9) -> list:
     """Oracle lanes of several supports of one ``(A, t)``: ``A`` and ``t`` are
     validated once, and ``supports`` holds sorted, duplicate-free index rows
-    of one length.  Lane ``i`` equals ``lambda_set(supports[i], A, t, tol)``
-    before re-embedding (see ``_embedded``)."""
+    of one length, scored in stacks that gather at most ``_STACK_ENTRIES``
+    entries (or one support, if that is larger).  Lane ``i`` equals ``lambda_set(supports[i], A, t, tol)`` before
+    re-embedding (see ``_embedded``)."""
     A, t = _oracle_input(A, t, tol)
     rows = np.asarray(supports, dtype=np.intp)
-    return _solve_stack(A[rows[:, :, None], rows[:, None, :]], t[rows], tol)
+    k = rows.shape[1]
+    step = max(1, _STACK_ENTRIES // (k * k))
+    lanes = []
+    for s in range(0, len(rows), step):
+        r = rows[s : s + step]
+        lanes += _solve_stack(A[r[:, :, None], r[:, None, :]], t[r], tol)
+    return lanes
 
 
 def _embedded(D: int, idx, lane) -> TrsSolution:

@@ -1,7 +1,9 @@
 """Independent reference computations used to validate the solvers.
 
 Nothing here imports solver internals: the sphere maximum comes from the 1-D
-convex dual evaluated in the eigenbasis, subset selection from exhaustive
+convex dual evaluated in the eigenbasis, and the oracle's own arithmetic is
+written out once more as a scalar, one-problem-at-a-time reference with
+scipy's ``brentq``; subset selection comes from exhaustive
 enumeration, low-dimensional maxima from refined grid search, and permutation
 statistics from the three sub-blocks of the pooled Gram matrix.  The table
 writer and the median heuristic are written out cell by cell and one
@@ -17,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from mmdselect import mmd
 from mmdselect.core import derive_stream, make_selection
@@ -47,6 +49,83 @@ def dual_trs_value(A: np.ndarray, t: np.ndarray) -> float:
         options={"xatol": 1e-13, "maxiter": 500},
     )
     return float(min(res.fun, h(eta_min)))
+
+
+def scalar_sphere_max(A: np.ndarray, t: np.ndarray, tol: float = 1e-9):
+    """The sphere oracle's answer for one symmetric problem, computed alone:
+    its own ``eigh`` and ``Q.T @ t``, the closed form for k = 1, the secular
+    branches with scipy's ``brentq``, and the KKT / ``mu >= lambda_max``
+    certificate.  Returns ``(value, z, mu, kkt_residual, hard_case)``; the
+    stacked oracle must give each lane these bits."""
+    A = np.asarray(A, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64).reshape(-1)
+    k = A.shape[0]
+    tnorm = float(np.linalg.norm(t))
+
+    def residual(z, mu):
+        return float(np.linalg.norm(2.0 * (mu * z - A @ z) - t))
+
+    if k == 1:
+        lmax = float(A[0, 0])
+        z = np.array([1.0 if t[0] >= 0 else -1.0])
+        mu = lmax + abs(float(t[0])) / 2.0
+        return lmax + abs(float(t[0])), z, mu, residual(z, mu), bool(t[0] == 0.0)
+    lam, Q = np.linalg.eigh(A)
+    lmax = float(lam[-1])
+    if tnorm == 0.0:
+        z = Q[:, -1]
+        z = -z if z[int(np.argmax(np.abs(z)))] < 0 else z
+        return lmax, z, lmax, residual(z, lmax), True
+    tt = Q.T @ t
+    scale = max(1.0, abs(lmax), tnorm)
+    lead = lam >= lmax - 1e-10 * scale
+    t_lead = float(np.linalg.norm(tt[lead]))
+
+    def norm2(mu):
+        return float(np.sum((tt / (2.0 * (mu - lam))) ** 2))
+
+    def root_in(lo, hi):
+        while norm2(hi) > 1.0:
+            hi = lmax + 2.0 * (hi - lmax)
+        mu = brentq(lambda m: norm2(m) - 1.0, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+        return mu, Q @ (tt / (2.0 * (mu - lam)))
+
+    def root_from_floor(hi):
+        lo = lmax + max(1e-300, 1e-15 * scale)
+        if norm2(lo) >= 1.0:
+            return root_in(lo, hi)
+        zt = tt / (2.0 * (lo - lam))
+        zt[-1] = 0.0
+        zt[-1] = np.copysign(np.sqrt(1.0 - float(np.sum(zt**2))), tt[-1])
+        return lo, Q @ zt
+
+    hi = lmax + 0.5 * tnorm + 1e-300
+    hard = False
+    if t_lead > 1e-9 * max(tnorm, 1e-300):
+        lo = lmax + 0.5 * t_lead * (1.0 - 1e-12)
+        if lo > lmax and norm2(lo) >= 1.0:
+            mu, z = root_in(lo, hi)
+        else:
+            mu, z = root_from_floor(hi)
+    else:
+        comp = ~lead
+        zt = np.zeros(k)
+        zt[comp] = tt[comp] / (2.0 * (lmax - lam[comp]))
+        nrm2 = float(np.sum(zt**2))
+        if nrm2 <= 1.0:
+            hard = True
+            mu = lmax
+            z = Q @ zt + np.sqrt(max(0.0, 1.0 - nrm2)) * Q[:, -1]
+        else:
+            mu, z = root_from_floor(hi)
+    nz = float(np.linalg.norm(z))
+    if nz > 0:
+        z = z / nz
+    mu = float(mu)
+    res = residual(z, mu)
+    if not (res <= max(tol, 1e-6) * (1.0 + tnorm) and mu >= lmax - max(tol, 1e-7)):
+        raise ArithmeticError(f"certificate failed (residual {res:.3e})")
+    return float(z @ A @ z + t @ z), z, mu, res, hard
 
 
 def brute_force_quad(A: np.ndarray, t: np.ndarray, d: int):

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from scipy.optimize import brentq
 
 import mmdselect
+from mmdselect import trs
+from mmdselect.quad import QuadProblem, greedy_select
 from mmdselect.trs import _brentq, _sphere_stack, lambda_set, trs_max
 
-from oracles import dual_trs_value, grid_sphere_max
+from oracles import dual_trs_value, grid_sphere_max, scalar_sphere_max
 
 
 def random_instance(gen, k, style):
@@ -349,19 +351,36 @@ def test_stacked_oracle_matches_trs_max_bit_for_bit(k, regimes, mixed, seed, dat
     lanes = _sphere_stack(A, t, rows)
     assert len(lanes) == len(rows)
     for idx, (value, z, mu, res, hard) in zip(rows, lanes):
-        want = trs_max(A[np.ix_(idx, idx)], t[idx])
-        assert value == want.value
-        assert np.array_equal(z, want.z)
-        assert mu == want.mu
-        assert res == want.kkt_residual
-        assert hard == want.hard_case
-        if k == 1:
-            # the elementwise closed form is the scalar arithmetic
-            a, tj = float(A[idx[0], idx[0]]), float(t[idx[0]])
-            zs = np.array([1.0 if tj >= 0 else -1.0])
-            assert (value, mu) == (a + abs(tj), a + abs(tj) / 2.0)
-            assert np.array_equal(z, zs)
-            assert res == float(np.linalg.norm(2.0 * (mu * zs - A[np.ix_(idx, idx)] @ zs) - tj))
+        sub_A, sub_t = A[np.ix_(idx, idx)], t[idx]
+        # the scalar reference pins the arithmetic; trs_max is the stack of one
+        want = scalar_sphere_max(sub_A, sub_t)
+        one = trs_max(sub_A, sub_t)
+        assert (value, mu, res, hard) == (want[0], want[2], want[3], want[4])
+        assert np.array_equal(z, want[1])
+        assert (value, mu, res, hard) == (one.value, one.mu, one.kkt_residual, one.hard_case)
+        assert np.array_equal(z, one.z)
+
+
+def test_stack_cap_splits_calls_without_changing_lanes(monkeypatch):
+    gen = np.random.default_rng(7)
+    B = gen.standard_normal((12, 12))
+    A, t = B @ B.T, gen.standard_normal(12)
+    rows = [sorted(gen.choice(12, size=4, replace=False).tolist()) for _ in range(9)]
+    whole = _sphere_stack(A, t, rows)
+    qp = QuadProblem.from_matrices(A, t)
+    greedy = greedy_select(qp, 4)
+    calls = []
+    solve = trs._solve_stack
+    monkeypatch.setattr(trs, "_solve_stack", lambda As, ts, tol: calls.append(len(ts)) or solve(As, ts, tol))
+    monkeypatch.setattr(trs, "_STACK_ENTRIES", 2 * 4 * 4)
+    parts = _sphere_stack(A, t, rows)
+    assert calls == [2, 2, 2, 2, 1]
+    for a, b in zip(whole, parts):
+        assert a[0] == b[0] and a[2:] == b[2:]
+        assert np.array_equal(a[1], b[1])
+    capped = greedy_select(qp, 4)
+    assert (capped.support, capped.value) == (greedy.support, greedy.value)
+    assert np.array_equal(capped.z.z, greedy.z.z)
 
 
 def test_stacked_oracle_certifies_every_lane():
