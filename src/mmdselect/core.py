@@ -233,26 +233,39 @@ def _parse_rows(path: str) -> np.ndarray:
     return np.array([vals for _, _, vals in _data_rows(path)], dtype=np.float64)
 
 
+def _plain(line: str) -> bool:
+    """False for a line with a ``_`` digit separator or a non-ASCII
+    character: spellings ``float()`` takes that numpy's C reader does not."""
+    return line.isascii() and "_" not in line
+
+
 def _parse_table(path: str) -> np.ndarray:
     """Parse a comma-delimited numeric table; a non-numeric first row is a header.
 
     Blank and whitespace-only lines are skipped and a UTF-8 byte-order mark
     is ignored.  numpy's C reader parses the non-blank lines after the
-    header.  A table it refuses (``float()`` spellings such as ``1_000``, bad
-    cells, ragged rows), or reads into another shape, is parsed again by
-    :func:`_parse_rows`, which returns the array or raises the error that
-    names the row, column and cell.
+    header.  A table it refuses (bad cells, ragged rows), or reads into
+    another shape, is parsed again by :func:`_parse_rows`, which returns the
+    array or raises the error that names the row, column and cell.  Data
+    lines with ``_`` or a non-ASCII character (``float()`` spellings such as
+    ``1_000`` or non-ASCII digits) go to :func:`_parse_rows` at once, so such
+    a table is read once, not twice.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         rows = _numbered_lines(fh)
         first_data = _first_data_line(path, rows)
-        n_rows = 1 + sum(1 for _ in rows)
-        fh.seek(0)
-        data_lines = (line for lineno, line in _numbered_lines(fh) if lineno >= first_data[0])
-        try:
-            table = np.loadtxt(data_lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            table = None
+        n_rows, plain = 1, _plain(first_data[1])
+        for _, line in rows:
+            n_rows += 1
+            plain = plain and _plain(line)
+        table = None
+        if plain:
+            fh.seek(0)
+            data_lines = (line for lineno, line in _numbered_lines(fh) if lineno >= first_data[0])
+            try:
+                table = np.loadtxt(data_lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass
     if table is None or table.shape != (n_rows, first_data[1].count(",") + 1):
         return _parse_rows(path)
     return table

@@ -163,10 +163,11 @@ def mmd_sq(spec: KernelSpec, z, data: TwoSampleData) -> float:
     """Empirical squared MMD of the two groups under the projected kernel.
 
     Exactly symmetric under swapping the groups.  The linear and quadratic
-    statistics come from support moments (:func:`moment_mmd_sq`, the path
-    ``permutation_test`` calibrates with).  The gaussian one sums Gram blocks,
-    accumulating the cross sum in both storage orders and averaging, so
-    (X, Y) and (Y, X) produce the same floating-point value.
+    statistics come from support moments (:func:`moment_mmd_sq`, whose values
+    ``permutation_test``'s chunked relabelings equal bit for bit).  The
+    gaussian one sums Gram blocks, accumulating the cross sum in both storage
+    orders and averaging, so (X, Y) and (Y, X) produce the same
+    floating-point value.
     """
     n, m = data.n, data.m
     if spec.family != GAUSSIAN:

@@ -12,8 +12,10 @@ index sets of the pooled test rows (N = n + m rows, support size k):
 * linear and quadratic: sums of the support features of each group
   (``mmd.moment_features``: ``x_S``, plus ``x_j x_k`` for the quadratic
   kernel), O(N k) resp. O(N k^2) per relabeling and no N x N array;
+  relabelings are drawn into bounded chunks, and a chunk is scored with one
+  gather per group;
 * gaussian: the pooled Gram matrix, built once, then one row gather per group
-  and its column sums, O(N^2) per relabeling.
+  and its column sums, O(N^2) per relabeling, one relabeling at a time.
 
 All sums are numpy reductions, not BLAS products, so the statistics are
 bit-identical for any BLAS thread count.  A relabeling that reproduces the
@@ -35,7 +37,7 @@ import numpy as np
 
 from .core import RandomSource, SelectionVector, TwoSampleData, derive_stream, split_train_test
 from .core import _freeze as _freeze_input
-from .mmd import GAUSSIAN, KernelSpec, gram, moment_features, moment_mmd_sq, resolve_kernel
+from .mmd import GAUSSIAN, KernelSpec, gram, moment_features, resolve_kernel
 
 _SPLIT_STREAM = 0
 _TRAIN_STREAM = 1
@@ -78,6 +80,26 @@ class PermutationReport:
             "test_sizes": list(self.test_sizes),
             "seed": list(self.seed),
         }
+
+
+# Entries one chunk of relabelings holds at most in its index array and in
+# each moment-feature gather (2 MiB of float64), so memory stays bounded for
+# any sample size and relabeling count.
+_CHUNK_ENTRIES = 1 << 18
+
+
+def _moment_stats(F: np.ndarray, w: np.ndarray, IX: np.ndarray, IY: np.ndarray) -> np.ndarray:
+    """``moment_mmd_sq(F, w, IX[r], IY[r])`` for each row ``r`` of the sorted
+    index arrays, from one gather per group.  Every mean and the weighted sum
+    reduce along a contiguous last axis, as the one-row form does, so each
+    value equals it bit for bit."""
+    gap = F.take(IX, axis=1).mean(axis=2) - F.take(IY, axis=1).mean(axis=2)
+    return (w * np.ascontiguousarray(gap.T) ** 2).sum(axis=1)
+
+
+def _gram_stats(G: np.ndarray, IX: np.ndarray, IY: np.ndarray) -> list:
+    """``_gram_stat`` for each row of the sorted index arrays."""
+    return [_gram_stat(G, ix, iy) for ix, iy in zip(IX, IY)]
 
 
 def _gram_stat(G: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> float:
@@ -127,7 +149,8 @@ def _shared_tests(
     in pairs]``, with one split and one relabeling pass for all of them.
 
     The split and each selection draw from the same streams of ``rng`` as a
-    lone test would, and relabeling ``t`` is drawn and sorted once and then
+    lone test would, and relabeling ``t`` is drawn and sorted once, in a
+    chunk of at most ``_CHUNK_ENTRIES`` index and gathered entries, and then
     scored by every pair, so each report is bit-identical to the lone call's.
     Each report's ``stage_s`` times the shared stages, all pairs included.
     """
@@ -149,26 +172,35 @@ def _shared_tests(
 
     pooled = np.vstack([test.X, test.Y])
     n_te, m_te = test.n, test.m
-    calibrations, statistics = [], []
+    N = n_te + m_te
+    calibrations, scores, features = [], [], [1]
     for kernel, selection in selections:
         if kernel.family == GAUSSIAN:
             calibrations.append("gram")
-            statistics.append(partial(_gram_stat, gram(kernel, selection, pooled, pooled)))
+            scores.append(partial(_gram_stats, gram(kernel, selection, pooled, pooled)))
         else:
+            F, w = moment_features(kernel, selection, pooled)
             calibrations.append("moments")
-            statistics.append(
-                partial(moment_mmd_sq, *moment_features(kernel, selection, pooled))
-            )
-    base = np.arange(n_te + m_te)
-    stats = [statistic(base[:n_te], base[n_te:]) for statistic in statistics]
+            scores.append(partial(_moment_stats, F, w))
+            features.append(F.shape[0])
+    base = np.arange(N)
+    stats = [float(score(base[None, :n_te], base[None, n_te:])[0]) for score in scores]
 
+    # relabeling t is stream t of perm_root; a chunk of them is sorted and
+    # scored at once
     perm_root = derive_stream(rng, _PERM_STREAM)
     permuted = np.empty((len(pairs), n_permutations))
-    for t in range(n_permutations):
-        p = derive_stream(perm_root, t).generator().permutation(n_te + m_te)
-        ix, iy = np.sort(p[:n_te]), np.sort(p[n_te:])
-        for row, statistic in zip(permuted, statistics):
-            row[t] = statistic(ix, iy)
+    step = max(1, _CHUNK_ENTRIES // (N * max(features)))
+    for s in range(0, n_permutations, step):
+        P = np.array(
+            [
+                derive_stream(perm_root, t).generator().permutation(N)
+                for t in range(s, min(s + step, n_permutations))
+            ]
+        )
+        IX, IY = np.sort(P[:, :n_te], axis=1), np.sort(P[:, n_te:], axis=1)
+        for row, score in zip(permuted, scores):
+            row[s : s + len(P)] = score(IX, IY)
     done = time.perf_counter()
 
     reports = []

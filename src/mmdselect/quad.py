@@ -21,7 +21,7 @@ from .core import SelectionVector, TwoSampleData, make_selection
 from .core import _check_symmetric, _overflow_error
 from .core import _freeze as _freeze_input
 from .spectrahedron import SpectraPoint, mirror_step, spectral_norm
-from .trs import TrsSolution, _embedded, _sphere_stack, lambda_set, trs_max
+from .trs import TrsSolution, _embedded, _sphere_argmax, lambda_set, trs_max
 
 GREEDY = "greedy"
 LOCAL = "local"
@@ -122,20 +122,21 @@ def _report(qp: QuadProblem, d: int, sol: TrsSolution, method: str, **kw) -> Qua
 def greedy_select(qp: QuadProblem, d: int, tol: float = 1e-9) -> QuadSolveReport:
     """Forward selection: d rounds of best single-feature augmentation.
 
-    Each round scores every augmented support in one stacked oracle call and
-    keeps the first maximum in index order.  The call gathers its sub-matrices
-    in bounded stacks (``trs._STACK_ENTRIES``), so a round holds O(D d) lane
-    results plus at most a few MiB of sub-matrices and their eigenvectors."""
+    Each round keeps the first maximum in index order of the augmented
+    supports' oracle values.  It decomposes them in bounded stacks
+    (``trs._STACK_ENTRIES``) and solves only the supports whose dual bound,
+    read from the stacked ``eigh``, can reach the best value so far
+    (``trs._sphere_argmax``), so a round holds at most a few MiB of
+    sub-matrices and their eigenvectors."""
     D = qp.dim
     if not 1 <= d <= D:
         raise ValueError(f"budget d={d} outside [1, {D}]")
     S: list[int] = []
     for _ in range(d):
         rows = [sorted(S + [j]) for j in range(D) if j not in S]
-        lanes = _sphere_stack(qp.A, qp.t, rows, tol)
-        best = max(range(len(rows)), key=lambda i: lanes[i][0])
+        best, lane = _sphere_argmax(qp.A, qp.t, rows, tol)
         S = rows[best]
-    return _report(qp, d, _embedded(D, S, lanes[best]), GREEDY)
+    return _report(qp, d, _embedded(D, S, lane), GREEDY)
 
 
 def local_search(qp: QuadProblem, d: int, init, tol: float = 1e-9) -> QuadSolveReport:

@@ -13,10 +13,12 @@ norm.
 ``lambda_set`` restricts the oracle to a coordinate subset and re-embeds the
 maximizer, which is how every subset-selection routine scores a support.
 Both are the one-lane case of a stacked oracle that scores many supports of
-one ``(A, t)`` with one stacked ``eigh``; greedy selection scores each round
-with it.  Each lane still takes the scalar branches and Brent's method (one
-variable: the closed form), so a support's answer is bit-identical whether it
-is scored alone or in a stack.
+one ``(A, t)`` with one stacked ``eigh``.  Each lane still takes the scalar
+branches and Brent's method (one variable: the closed form), so a support's
+answer is bit-identical whether it is scored alone or in a stack.  Greedy
+selection takes each round's argmax from the stack, solving only the lanes
+whose dual bound, read from the stacked ``eigh``, can still reach the best
+value.
 """
 
 from __future__ import annotations
@@ -204,41 +206,48 @@ def _certified(A, t, z, mu: float, lmax: float, value: float, hard: bool, tnorm:
     return value, z, mu, res, hard
 
 
+def _solve_lane(a, tv, lam, Q, tt, tol: float):
+    """Sphere maximum of one lane ``(a, tv)`` of size k: the closed form for
+    k = 1 (``lam``, ``Q`` and ``tt`` are None), else the scalar branches on
+    the lane's slice of a stacked ``eigh`` (``lam``, ``Q``) and ``tt = Q'tv``,
+    and its own certificate.  Returns
+    ``(value, z, mu, kkt_residual, hard_case)``."""
+    tnorm = float(np.linalg.norm(tv))
+    if Q is None:
+        lmax = float(a[0, 0])
+        z = np.array([1.0 if tv[0] >= 0 else -1.0])
+        mu = lmax + abs(float(tv[0])) / 2.0
+        value = lmax + abs(float(tv[0]))
+        hard = bool(tv[0] == 0.0)
+    else:
+        lmax = float(lam[-1])
+        if tnorm == 0.0:
+            # no certificate: its absolute bound fails large exact answers
+            z = _canonical_sign(Q[:, -1])
+            res = _residual(a, tv, z, lmax)
+            _check_finite(lmax, lmax, res)
+            return lmax, z, lmax, res, True
+        z, mu, hard = _secular(lam, Q, tt, tnorm)
+        value = float(z @ a @ z + tv @ z)
+    return _certified(a, tv, z, mu, lmax, value, hard, tnorm, tol)
+
+
+def _eig_stack(As: np.ndarray, ts: np.ndarray):
+    """``(lam, Q, Q't)`` of a stack of problems of one size k >= 2, from one
+    stacked ``eigh`` and one stacked product; they equal the per-matrix ones
+    bit for bit, so a lane's answer does not depend on the stack it sits in."""
+    lam, Q = np.linalg.eigh(As)
+    return lam, Q, (ts[:, None, :] @ Q)[:, 0, :]
+
+
 def _solve_stack(As: np.ndarray, ts: np.ndarray, tol: float) -> list:
-    """Sphere maxima of the problems ``(As[i], ts[i])``, all of one size k.
-    For k >= 2 they share one stacked ``eigh`` and one stacked ``Q't``; the
-    stacked products equal the per-matrix ones bit for bit, so a lane's
-    answer does not depend on the stack it sits in.  Each lane then runs the
-    scalar branches (k = 1: the closed form) and gets its own certificate.
-    The inputs are taken as validated.  Returns one
-    ``(value, z, mu, kkt_residual, hard_case)`` tuple per lane."""
-    c, k = ts.shape
-    if k > 1:
-        lam, Q = np.linalg.eigh(As)
-        tts = (ts[:, None, :] @ Q)[:, 0, :]
-    lanes = []
-    for i in range(c):
-        a, tv = As[i], ts[i]
-        tnorm = float(np.linalg.norm(tv))
-        if k == 1:
-            lmax = float(a[0, 0])
-            z = np.array([1.0 if tv[0] >= 0 else -1.0])
-            mu = lmax + abs(float(tv[0])) / 2.0
-            value = lmax + abs(float(tv[0]))
-            hard = bool(tv[0] == 0.0)
-        else:
-            lmax = float(lam[i, -1])
-            if tnorm == 0.0:
-                # no certificate: its absolute bound fails large exact answers
-                z = _canonical_sign(Q[i, :, -1])
-                res = _residual(a, tv, z, lmax)
-                _check_finite(lmax, lmax, res)
-                lanes.append((lmax, z, lmax, res, True))
-                continue
-            z, mu, hard = _secular(lam[i], Q[i], tts[i], tnorm)
-            value = float(z @ a @ z + tv @ z)
-        lanes.append(_certified(a, tv, z, mu, lmax, value, hard, tnorm, tol))
-    return lanes
+    """Sphere maxima of the problems ``(As[i], ts[i])``, all of one size k,
+    one ``_solve_lane`` each.  The inputs are taken as validated.  Returns
+    one ``(value, z, mu, kkt_residual, hard_case)`` tuple per lane."""
+    if ts.shape[1] == 1:
+        return [_solve_lane(a, tv, None, None, None, tol) for a, tv in zip(As, ts)]
+    lam, Q, tts = _eig_stack(As, ts)
+    return [_solve_lane(As[i], ts[i], lam[i], Q[i], tts[i], tol) for i in range(len(ts))]
 
 
 # Sub-matrix entries one stacked call gathers at most (2 MiB of float64), so
@@ -246,21 +255,74 @@ def _solve_stack(As: np.ndarray, ts: np.ndarray, tol: float) -> list:
 _STACK_ENTRIES = 1 << 18
 
 
-def _sphere_stack(A, t, supports, tol: float = 1e-9) -> list:
-    """Oracle lanes of several supports of one ``(A, t)``: ``A`` and ``t`` are
-    validated once, and ``supports`` holds sorted, duplicate-free index rows
-    of one length, scored in stacks that gather at most ``_STACK_ENTRIES``
-    entries (or one support, if that is larger).  Lane ``i`` equals ``lambda_set(supports[i], A, t, tol)`` before
-    re-embedding (see ``_embedded``)."""
+def _stacks(A, t, supports, tol: float):
+    """``(offset, As, ts)`` for consecutive stacks of ``supports``, sorted,
+    duplicate-free index rows of one length k: ``A`` and ``t`` are validated
+    once, and each stack gathers at most ``_STACK_ENTRIES`` sub-matrix
+    entries (or one support, if that is larger)."""
     A, t = _oracle_input(A, t, tol)
     rows = np.asarray(supports, dtype=np.intp)
     k = rows.shape[1]
     step = max(1, _STACK_ENTRIES // (k * k))
-    lanes = []
     for s in range(0, len(rows), step):
         r = rows[s : s + step]
-        lanes += _solve_stack(A[r[:, :, None], r[:, None, :]], t[r], tol)
+        yield s, A[r[:, :, None], r[:, None, :]], t[r]
+
+
+def _sphere_stack(A, t, supports, tol: float = 1e-9) -> list:
+    """Oracle lanes of several supports of one ``(A, t)``, scored stack by
+    stack (see ``_stacks``).  Lane ``i`` equals
+    ``lambda_set(supports[i], A, t, tol)`` before re-embedding (see
+    ``_embedded``)."""
+    lanes = []
+    for _, As, ts in _stacks(A, t, supports, tol):
+        lanes += _solve_stack(As, ts, tol)
     return lanes
+
+
+def _sphere_argmax(A, t, supports, tol: float = 1e-9) -> tuple:
+    """``(i, lane)``: the first maximum in index order of the lanes that
+    ``_sphere_stack(A, t, supports, tol)`` returns, solving only the lanes
+    that can reach it.
+
+    By weak duality, lane ``S`` is at most ``mu + t_S'(mu I - A_S)^-1 t_S / 4``
+    for any ``mu > lambda_max(A_S)``.  At ``mu = lambda_max + ||t_S|| / 2`` this
+    bound costs one pass over its stack's ``eigh`` and never exceeds
+    ``lambda_max(A_S) + ||t_S||``; for k = 1 it is the lane's value.  Each
+    stack's lanes are solved in order of falling bound, until the next bound
+    plus a margin for rounding in the eigenvalues and in a lane's value,
+    ``1e-9 (1 + max |lambda(A_S)| + ||t_S||)``, falls below the best value so
+    far, which carries from stack to stack.  A solved lane is bit-identical to
+    its ``_sphere_stack`` lane."""
+    best, best_value, best_lane = -1, -math.inf, None
+    for s, As, ts in _stacks(A, t, supports, tol):
+        k = ts.shape[1]
+        if k == 1:
+            lo = hi = As[:, 0, 0]
+        else:
+            lam, Q, tts = _eig_stack(As, ts)
+            lo, hi = lam[:, 0], lam[:, -1]
+        # an overflowed or NaN bound prunes nothing: its lane is solved
+        with np.errstate(over="ignore", invalid="ignore"):
+            tn = np.sqrt(np.einsum("ij,ij->i", ts, ts))
+            if k == 1:
+                bound = hi + tn
+            else:
+                mu = hi + 0.5 * tn
+                den = 4.0 * (mu[:, None] - lam)
+                # den is 0 only where mu rounds to lambda_max; the term left
+                # out is then at most ||t_S|| / 2, inside the margin
+                terms = np.divide(tts * tts, den, out=np.zeros_like(den), where=den > 0)
+                bound = mu + terms.sum(axis=1)
+            margin = 1e-9 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)) + tn)
+        for i in np.argsort(-bound, kind="stable").tolist():
+            if bound[i] + margin[i] < best_value:
+                break
+            eig = (None, None, None) if k == 1 else (lam[i], Q[i], tts[i])
+            lane = _solve_lane(As[i], ts[i], *eig, tol)
+            if lane[0] > best_value or (lane[0] == best_value and s + i < best):
+                best, best_value, best_lane = s + i, lane[0], lane
+    return best, best_lane
 
 
 def _embedded(D: int, idx, lane) -> TrsSolution:

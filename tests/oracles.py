@@ -3,9 +3,11 @@
 Nothing here imports solver internals: the sphere maximum comes from the 1-D
 convex dual evaluated in the eigenbasis, and the oracle's own arithmetic is
 written out once more as a scalar, one-problem-at-a-time reference with
-scipy's ``brentq``; subset selection comes from exhaustive
-enumeration, low-dimensional maxima from refined grid search, and permutation
-statistics from the three sub-blocks of the pooled Gram matrix.  The table
+scipy's ``brentq``, with which greedy selection scores every augmented
+support; subset selection comes from exhaustive enumeration,
+low-dimensional maxima from refined grid search, and permutation statistics
+from the three sub-blocks of the pooled Gram matrix and, for the moment
+statistics, one relabeling at a time.  The table
 writer and the median heuristic are written out cell by cell and one
 temporary per operation, the forms the library's versions must match bit for
 bit.  The gaussian surrogate sums its pair terms one difference vector at a
@@ -128,6 +130,29 @@ def scalar_sphere_max(A: np.ndarray, t: np.ndarray, tol: float = 1e-9):
     return float(z @ A @ z + t @ z), z, mu, res, hard
 
 
+def greedy_reference(A: np.ndarray, t: np.ndarray, d: int, tol: float = 1e-9):
+    """Greedy forward selection written out plainly: each round scores every
+    augmented support with ``scalar_sphere_max`` and keeps the first maximum
+    in index order.  Returns the support, its value and its maximizer
+    embedded in the ambient dimension."""
+    A = np.asarray(A, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64)
+    S: list = []
+    for _ in range(d):
+        best = None
+        for j in range(len(t)):
+            if j in S:
+                continue
+            idx = sorted(S + [j])
+            lane = scalar_sphere_max(A[np.ix_(idx, idx)], t[idx], tol)
+            if best is None or lane[0] > best[1][0]:
+                best = (idx, lane)
+        S = best[0]
+    z = np.zeros(len(t))
+    z[S] = best[1][1]
+    return tuple(S), best[1][0], z
+
+
 def brute_force_quad(A: np.ndarray, t: np.ndarray, d: int):
     """Exhaustive subset enumeration scored with the dual sphere oracle."""
     D = len(t)
@@ -219,6 +244,22 @@ def gram_permutation_stats(kernel, z, test, perm_root, n_permutations: int):
         p = derive_stream(perm_root, t).generator().permutation(N)
         permuted.append(gram_block_stat(G, p[:n], p[n:]))
     return gram_block_stat(G, base[:n], base[n:]), np.array(permuted), float(np.abs(G).max())
+
+
+def moment_permutation_stats(kernel, z, test, perm_root, n_permutations: int):
+    """Observed and relabeled linear or quadratic statistics of a held-out
+    split, one ``mmd.moment_mmd_sq`` call per relabeling on its sorted
+    halves, relabeling ``t`` being the permutation drawn from stream ``t`` of
+    ``perm_root``."""
+    pooled = np.vstack([test.X, test.Y])
+    F, w = mmd.moment_features(kernel, z, pooled)
+    n, N = test.n, len(pooled)
+    base = np.arange(N)
+    permuted = []
+    for t in range(n_permutations):
+        p = derive_stream(perm_root, t).generator().permutation(N)
+        permuted.append(mmd.moment_mmd_sq(F, w, np.sort(p[:n]), np.sort(p[n:])))
+    return mmd.moment_mmd_sq(F, w, base[:n], base[n:]), np.array(permuted)
 
 
 def save_matrix_reference(path: str, M: np.ndarray, header: list[str] | None = None) -> None:

@@ -148,6 +148,32 @@ def test_well_formed_table_parses_only_its_first_line_in_python(
     assert got.tobytes() == M.tobytes() and got.shape == M.shape
 
 
+@pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662", "1\xa0"])
+def test_a_table_with_float_only_spellings_is_read_once(tmp_path, monkeypatch, cell):
+    # one such cell in the last row: the table goes to the row parser
+    # without a refused pass through numpy's reader first
+    M = np.random.default_rng(2).standard_normal((300, 8))
+    path = tmp_path / "x.csv"
+    save_matrix(str(path), M, [f"v_{j}" for j in range(8)])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[-1] = cell + "," + lines[-1].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: calls.append(1) or loadtxt(*a, **kw))
+    got = _parse_table(str(path))
+    assert calls == []
+    M[-1, 0] = float(cell)
+    assert got.tobytes() == M.tobytes()
+    with pytest.raises(DataFormatError) as exc:
+        _parse_table(write(tmp_path, "y.csv", "1,2\n" + cell + ",x\n"))
+    assert str(exc.value).endswith("non-numeric cell 'x' at row 2, column 2")
+    assert calls == []
+    # a header is not data: with plain data lines the reader runs
+    assert np.array_equal(_parse_table(write(tmp_path, "z.csv", "x_1,\u03b2\n1,2\n")), [[1.0, 2.0]])
+    assert calls == [1]
+
+
 def test_a_reader_result_of_the_wrong_shape_goes_to_the_row_parser(tmp_path, monkeypatch):
     px = write(tmp_path, "x.csv", "a,b\n1,2\n3,4\n")
     loadtxt = np.loadtxt

@@ -3,18 +3,26 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from oracles import OracleSelector, gram, gram_block_stat, gram_permutation_stats
+from oracles import (
+    OracleSelector,
+    gram,
+    gram_block_stat,
+    gram_permutation_stats,
+    moment_permutation_stats,
+)
 
 import mmdselect
 from mmdselect.core import RandomSource, TwoSampleData, derive_stream, make_selection, split_train_test
-from mmdselect.mmd import KernelSpec, mmd_sq
-from mmdselect.permutation import _shared_tests, permutation_test
+from mmdselect import permutation
+from mmdselect.mmd import KernelSpec, mmd_sq, moment_features, moment_mmd_sq
+from mmdselect.permutation import _moment_stats, _shared_tests, permutation_test
 from mmdselect.selectors import Selector
 
 # permutation_test draws relabeling t from stream t of this child stream
@@ -386,3 +394,78 @@ def test_shared_pass_matches_separate_tests():
         assert np.array_equal(rep.permuted, alone.permuted)
         assert rep.p_value == alone.p_value and rep.reject == alone.reject
         assert rep.to_dict() == alone.to_dict()
+
+
+# few distinct values, so that different relabelings tie exactly
+tie_floats = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]), small_floats)
+weights = st.one_of(st.just(0.0), st.floats(0.1, 3.0), st.floats(-3.0, -0.1))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    n=st.integers(4, 9),
+    m=st.integers(4, 9),
+    dim=st.integers(1, 3),
+    quadratic=st.booleans(),
+    n_p=st.integers(1, 30),
+    per_chunk=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_chunked_relabelings_equal_one_at_a_time(n, m, dim, quadratic, n_p, per_chunk, seed, data):
+    # the held-out halves have 2-4 rows a group, n != m in general, and the
+    # chunk length rarely divides the relabeling count
+    X = data.draw(hnp.arrays(np.float64, (n, dim), elements=tie_floats))
+    Y = data.draw(hnp.arrays(np.float64, (m, dim), elements=tie_floats))
+    z = data.draw(hnp.arrays(np.float64, dim, elements=weights))
+    if not z.any():
+        z[0] = 1.0
+    kernel = KernelSpec.quadratic(0.7) if quadratic else KernelSpec.linear()
+    rng = RandomSource(seed)
+    _, test = split_train_test(TwoSampleData(X, Y), 0.5, derive_stream(rng, 0))
+    N = test.n + test.m
+    F, w = moment_features(kernel, z, np.vstack([test.X, test.Y]))
+    # the scores of one chunk equal the one-relabeling form row by row
+    P = np.array([np.random.default_rng(seed + r).permutation(N) for r in range(n_p)])
+    IX, IY = np.sort(P[:, : test.n], axis=1), np.sort(P[:, test.n :], axis=1)
+    got = _moment_stats(F, w, IX, IY)
+    want = [moment_mmd_sq(F, w, ix, iy) for ix, iy in zip(IX, IY)]
+    assert got.tobytes() == np.array(want).tobytes()
+    # and the test's relabelings, chunked by a lowered cap, equal the loop
+    with mock.patch.object(permutation, "_CHUNK_ENTRIES", per_chunk * N * F.shape[0]):
+        rep = permutation_test(
+            TwoSampleData(X, Y), kernel, FixedSelector(z), n_p, 0.05, 0.5, rng
+        )
+    stat, permuted = moment_permutation_stats(
+        kernel, rep.selection, test, derive_stream(rng, PERM_STREAM), n_p
+    )
+    assert rep.statistic == stat
+    assert rep.permuted.tobytes() == permuted.tobytes()
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+def test_relabeling_chunks_stay_under_the_entry_cap(kernel, monkeypatch):
+    gen = np.random.default_rng(5)
+    data = iid_data(gen, 60, 50, 4, shift=0.2)
+    sel = FixedSelector([0.6, -0.8, 0.0, 0.4])
+    whole = permutation_test(data, kernel, sel, 23, 0.05, 0.5, RandomSource(2))
+    chunks = []  # (relabelings, features gathered) of each call
+
+    def recorded(score, features):
+        def call(*args):
+            chunks.append((len(args[-2]), features(args[0])))
+            return score(*args)
+        return call
+
+    moments, grams = permutation._moment_stats, permutation._gram_stats
+    monkeypatch.setattr(permutation, "_moment_stats", recorded(moments, len))
+    monkeypatch.setattr(permutation, "_gram_stats", recorded(grams, lambda G: 1))
+    monkeypatch.setattr(permutation, "_CHUNK_ENTRIES", 1000)
+    capped = permutation_test(data, kernel, sel, 23, 0.05, 0.5, RandomSource(2))
+    assert capped.statistic == whole.statistic
+    assert capped.permuted.tobytes() == whole.permuted.tobytes()
+    # the observed statistic, then the relabelings in chunks: 55 held-out
+    # rows, and 3 linear or 9 quadratic features
+    assert chunks[0][0] == 1 and sum(rows for rows, _ in chunks[1:]) == 23
+    assert len(chunks) >= 3
+    assert all(rows * 55 * features <= 1000 for rows, features in chunks)

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -12,10 +13,11 @@ from scipy.optimize import brentq
 
 import mmdselect
 from mmdselect import trs
+from mmdselect.core import make_selection
 from mmdselect.quad import QuadProblem, greedy_select
 from mmdselect.trs import _brentq, _sphere_stack, lambda_set, trs_max
 
-from oracles import dual_trs_value, grid_sphere_max, scalar_sphere_max
+from oracles import dual_trs_value, greedy_reference, grid_sphere_max, scalar_sphere_max
 
 
 def random_instance(gen, k, style):
@@ -381,6 +383,77 @@ def test_stack_cap_splits_calls_without_changing_lanes(monkeypatch):
     capped = greedy_select(qp, 4)
     assert (capped.support, capped.value) == (greedy.support, greedy.value)
     assert np.array_equal(capped.z.z, greedy.z.z)
+
+
+def _assert_greedy_is_reference(qp, d):
+    rep = greedy_select(qp, d)
+    _, value, z = greedy_reference(qp.A, qp.t, d)
+    assert rep.support == tuple(np.flatnonzero(z))
+    assert rep.value == qp.report_value(value)
+    assert np.array_equal(rep.z.z, make_selection(z, d).z)
+    return rep
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    D=st.integers(1, 7),
+    psd=st.booleans(),
+    integer=st.booleans(),  # integer entries make exact ties between lanes
+    zero_t=st.sampled_from(["none", "some", "all"]),
+    duplicate=st.booleans(),
+    cap=st.sampled_from([None, 1, 6]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_greedy_equals_the_scalar_reference_bit_for_bit(
+    D, psd, integer, zero_t, duplicate, cap, seed, data
+):
+    gen = np.random.default_rng(seed)
+    B = gen.standard_normal((D, D)) * 2.0
+    t = gen.standard_normal(D) * float(gen.choice([0.1, 1.0, 5.0]))
+    if integer:
+        B, t = np.round(B), np.round(t)
+    A = B @ B.T if psd else B + B.T
+    if zero_t == "all":
+        t[:] = 0.0
+    elif zero_t == "some":
+        t[gen.random(D) < 0.5] = 0.0
+    if duplicate and D >= 2:
+        # a duplicated column: its lanes tie with the original's exactly
+        i, j = gen.choice(D, size=2, replace=False)
+        A[i, :] = A[j, :]
+        A[:, i] = A[:, j]
+        t[i] = t[j]
+    qp = QuadProblem.from_matrices(A, t)
+    d = data.draw(st.integers(1, D))
+    with mock.patch.object(trs, "_STACK_ENTRIES", cap or trs._STACK_ENTRIES):
+        _assert_greedy_is_reference(qp, d)
+
+
+def test_greedy_solves_only_the_lanes_that_can_win(monkeypatch):
+    # a planted rank-one block on features 5-7: a lane that leaves one of
+    # them out has a bound below the best value
+    gen = np.random.default_rng(3)
+    D, d = 12, 3
+    B = 0.1 * gen.standard_normal((D, D))
+    u = np.zeros(D)
+    u[5:8] = [1.6, 1.8, 2.0]
+    A = B @ B.T + np.outer(u, u)
+    t = 0.2 * np.abs(gen.standard_normal(D))
+    qp = QuadProblem.from_matrices(A, t)
+    offered = D + (D - 1) + (D - 2)
+    solved = []
+    solve = trs._solve_lane
+    monkeypatch.setattr(trs, "_solve_lane", lambda *a: solved.append(len(a[1])) or solve(*a))
+    rep = _assert_greedy_is_reference(qp, d)
+    assert rep.support == (5, 6, 7)
+    assert solved == [1, 2, 3]
+    # stacks of one lane: each round's winner comes from a later stack than
+    # the first, and only the best value carried from stack to stack prunes
+    monkeypatch.setattr(trs, "_STACK_ENTRIES", 1)
+    solved.clear()
+    assert _assert_greedy_is_reference(qp, d).support == (5, 6, 7)
+    assert len(solved) < offered
 
 
 def test_stacked_oracle_certifies_every_lane():
