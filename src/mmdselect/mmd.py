@@ -145,35 +145,35 @@ def moment_features(spec: KernelSpec, z, U: np.ndarray) -> tuple[np.ndarray, np.
     return F, w
 
 
-def moment_mmd_sq(F: np.ndarray, w: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> float:
-    """Squared MMD between the sample columns ``ix`` and ``iy`` of the
-    features from :func:`moment_features`.
+def moment_mmd_sq(F: np.ndarray, w: np.ndarray, IX: np.ndarray, IY: np.ndarray) -> np.ndarray:
+    """Squared MMD between the sample columns ``IX[r]`` and ``IY[r]`` of the
+    features from :func:`moment_features`, for each row ``r`` of the index
+    arrays ``IX`` (P x n) and ``IY`` (P x m), from one gather per group.
 
-    Sums are numpy (pairwise) reductions over the gathered, contiguous
-    columns, never a BLAS product, so the value does not depend on the BLAS
-    thread count.  Pass sorted index sets: equal sets then sum in the same
-    order and give bit-identical values, and swapping the sets negates the
-    mean gap exactly.
+    Sums are numpy (pairwise) reductions along a contiguous last axis, never
+    a BLAS product, so a row's value does not depend on the BLAS thread count
+    or on the other rows.  Pass sorted index rows: equal sets then sum in the
+    same order and give bit-identical values, and swapping the sets negates
+    the mean gap exactly.
     """
-    gap = F.take(ix, axis=1).mean(axis=1) - F.take(iy, axis=1).mean(axis=1)
-    return float(np.sum(w * gap**2))
+    gap = F.take(IX, axis=1).mean(axis=2) - F.take(IY, axis=1).mean(axis=2)
+    return (w * np.ascontiguousarray(gap.T) ** 2).sum(axis=1)
 
 
 def mmd_sq(spec: KernelSpec, z, data: TwoSampleData) -> float:
     """Empirical squared MMD of the two groups under the projected kernel.
 
     Exactly symmetric under swapping the groups.  The linear and quadratic
-    statistics come from support moments (:func:`moment_mmd_sq`, whose values
-    ``permutation_test``'s chunked relabelings equal bit for bit).  The
-    gaussian one sums Gram blocks, accumulating the cross sum in both storage
-    orders and averaging, so (X, Y) and (Y, X) produce the same
-    floating-point value.
+    statistics come from support moments (:func:`moment_mmd_sq`, with which
+    ``permutation_test`` scores its relabelings).  The gaussian one sums Gram
+    blocks, accumulating the cross sum in both storage orders and averaging,
+    so (X, Y) and (Y, X) produce the same floating-point value.
     """
     n, m = data.n, data.m
     if spec.family != GAUSSIAN:
         F, w = moment_features(spec, z, np.vstack([data.X, data.Y]))
         base = np.arange(n + m)
-        return moment_mmd_sq(F, w, base[:n], base[n:])
+        return float(moment_mmd_sq(F, w, base[None, :n], base[None, n:])[0])
     Gxx = gram(spec, z, data.X, data.X)
     Gyy = gram(spec, z, data.Y, data.Y)
     Gxy = gram(spec, z, data.X, data.Y)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .core import RandomSource, SelectionVector, TwoSampleData, derive_stream, split_train_test
 from .core import _freeze as _freeze_input
-from .mmd import GAUSSIAN, KernelSpec, gram, moment_features, resolve_kernel
+from .mmd import GAUSSIAN, KernelSpec, gram, moment_features, moment_mmd_sq, resolve_kernel
 
 _SPLIT_STREAM = 0
 _TRAIN_STREAM = 1
@@ -86,15 +86,6 @@ class PermutationReport:
 # each moment-feature gather (2 MiB of float64), so memory stays bounded for
 # any sample size and relabeling count.
 _CHUNK_ENTRIES = 1 << 18
-
-
-def _moment_stats(F: np.ndarray, w: np.ndarray, IX: np.ndarray, IY: np.ndarray) -> np.ndarray:
-    """``moment_mmd_sq(F, w, IX[r], IY[r])`` for each row ``r`` of the sorted
-    index arrays, from one gather per group.  Every mean and the weighted sum
-    reduce along a contiguous last axis, as the one-row form does, so each
-    value equals it bit for bit."""
-    gap = F.take(IX, axis=1).mean(axis=2) - F.take(IY, axis=1).mean(axis=2)
-    return (w * np.ascontiguousarray(gap.T) ** 2).sum(axis=1)
 
 
 def _gram_stats(G: np.ndarray, IX: np.ndarray, IY: np.ndarray) -> list:
@@ -181,7 +172,7 @@ def _shared_tests(
         else:
             F, w = moment_features(kernel, selection, pooled)
             calibrations.append("moments")
-            scores.append(partial(_moment_stats, F, w))
+            scores.append(partial(moment_mmd_sq, F, w))
             features.append(F.shape[0])
     base = np.arange(N)
     stats = [float(score(base[None, :n_te], base[None, n_te:])[0]) for score in scores]

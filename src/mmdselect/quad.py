@@ -124,8 +124,8 @@ def greedy_select(qp: QuadProblem, d: int, tol: float = 1e-9) -> QuadSolveReport
 
     Each round keeps the first maximum in index order of the augmented
     supports' oracle values.  It decomposes them in bounded stacks
-    (``trs._STACK_ENTRIES``) and solves only the supports whose dual bound,
-    read from the stacked ``eigh``, can reach the best value so far
+    (``trs._STACK_ENTRIES``) and solves only the supports whose bound
+    ``lambda_max(A_S) + ||t_S||``, read from the stacked ``eigh``, can reach the best value so far
     (``trs._sphere_argmax``), so a round holds at most a few MiB of
     sub-matrices and their eigenvectors."""
     D = qp.dim

@@ -17,8 +17,8 @@ one ``(A, t)`` with one stacked ``eigh``.  Each lane still takes the scalar
 branches and Brent's method (one variable: the closed form), so a support's
 answer is bit-identical whether it is scored alone or in a stack.  Greedy
 selection takes each round's argmax from the stack, solving only the lanes
-whose dual bound, read from the stacked ``eigh``, can still reach the best
-value.
+whose bound ``lambda_max(A_S) + ||t_S||``, read from the stacked ``eigh``, can
+still reach the best value.
 """
 
 from __future__ import annotations
@@ -285,15 +285,14 @@ def _sphere_argmax(A, t, supports, tol: float = 1e-9) -> tuple:
     ``_sphere_stack(A, t, supports, tol)`` returns, solving only the lanes
     that can reach it.
 
-    By weak duality, lane ``S`` is at most ``mu + t_S'(mu I - A_S)^-1 t_S / 4``
-    for any ``mu > lambda_max(A_S)``.  At ``mu = lambda_max + ||t_S|| / 2`` this
-    bound costs one pass over its stack's ``eigh`` and never exceeds
-    ``lambda_max(A_S) + ||t_S||``; for k = 1 it is the lane's value.  Each
-    stack's lanes are solved in order of falling bound, until the next bound
-    plus a margin for rounding in the eigenvalues and in a lane's value,
+    Lane ``S`` is at most ``lambda_max(A_S) + ||t_S||``, read from its
+    stack's ``eigh`` (for k = 1 it is the lane's value).  Each stack's lanes
+    are solved in order of falling bound, until the next bound plus a margin
+    for rounding in the eigenvalues and in a lane's value,
     ``1e-9 (1 + max |lambda(A_S)| + ||t_S||)``, falls below the best value so
-    far, which carries from stack to stack.  A solved lane is bit-identical to
-    its ``_sphere_stack`` lane."""
+    far, which carries from stack to stack.  A bound that overflows or is NaN
+    counts as infinite, so its lane is solved first and its certificate is
+    checked.  A solved lane is bit-identical to its ``_sphere_stack`` lane."""
     best, best_value, best_lane = -1, -math.inf, None
     for s, As, ts in _stacks(A, t, supports, tol):
         k = ts.shape[1]
@@ -302,19 +301,11 @@ def _sphere_argmax(A, t, supports, tol: float = 1e-9) -> tuple:
         else:
             lam, Q, tts = _eig_stack(As, ts)
             lo, hi = lam[:, 0], lam[:, -1]
-        # an overflowed or NaN bound prunes nothing: its lane is solved
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             tn = np.sqrt(np.einsum("ij,ij->i", ts, ts))
-            if k == 1:
-                bound = hi + tn
-            else:
-                mu = hi + 0.5 * tn
-                den = 4.0 * (mu[:, None] - lam)
-                # den is 0 only where mu rounds to lambda_max; the term left
-                # out is then at most ||t_S|| / 2, inside the margin
-                terms = np.divide(tts * tts, den, out=np.zeros_like(den), where=den > 0)
-                bound = mu + terms.sum(axis=1)
+            bound = hi + tn
             margin = 1e-9 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)) + tn)
+        bound[np.isnan(bound)] = math.inf
         for i in np.argsort(-bound, kind="stable").tolist():
             if bound[i] + margin[i] < best_value:
                 break

@@ -246,10 +246,18 @@ def gram_permutation_stats(kernel, z, test, perm_root, n_permutations: int):
     return gram_block_stat(G, base[:n], base[n:]), np.array(permuted), float(np.abs(G).max())
 
 
+def moment_stat(F: np.ndarray, w: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> float:
+    """One relabeling's squared MMD between the sample columns ``ix`` and
+    ``iy`` of the features from ``mmd.moment_features``: the one-row form
+    that ``mmd.moment_mmd_sq`` must equal bit for bit on each row."""
+    gap = F.take(ix, axis=1).mean(axis=1) - F.take(iy, axis=1).mean(axis=1)
+    return float(np.sum(w * gap**2))
+
+
 def moment_permutation_stats(kernel, z, test, perm_root, n_permutations: int):
     """Observed and relabeled linear or quadratic statistics of a held-out
-    split, one ``mmd.moment_mmd_sq`` call per relabeling on its sorted
-    halves, relabeling ``t`` being the permutation drawn from stream ``t`` of
+    split, one ``moment_stat`` call per relabeling on its sorted halves,
+    relabeling ``t`` being the permutation drawn from stream ``t`` of
     ``perm_root``."""
     pooled = np.vstack([test.X, test.Y])
     F, w = mmd.moment_features(kernel, z, pooled)
@@ -258,8 +266,8 @@ def moment_permutation_stats(kernel, z, test, perm_root, n_permutations: int):
     permuted = []
     for t in range(n_permutations):
         p = derive_stream(perm_root, t).generator().permutation(N)
-        permuted.append(mmd.moment_mmd_sq(F, w, np.sort(p[:n]), np.sort(p[n:])))
-    return mmd.moment_mmd_sq(F, w, base[:n], base[n:]), np.array(permuted)
+        permuted.append(moment_stat(F, w, np.sort(p[:n]), np.sort(p[n:])))
+    return moment_stat(F, w, base[:n], base[n:]), np.array(permuted)
 
 
 def save_matrix_reference(path: str, M: np.ndarray, header: list[str] | None = None) -> None:

@@ -16,13 +16,14 @@ from oracles import (
     gram_block_stat,
     gram_permutation_stats,
     moment_permutation_stats,
+    moment_stat,
 )
 
 import mmdselect
 from mmdselect.core import RandomSource, TwoSampleData, derive_stream, make_selection, split_train_test
 from mmdselect import permutation
 from mmdselect.mmd import KernelSpec, mmd_sq, moment_features, moment_mmd_sq
-from mmdselect.permutation import _moment_stats, _shared_tests, permutation_test
+from mmdselect.permutation import _shared_tests, permutation_test
 from mmdselect.selectors import Selector
 
 # permutation_test draws relabeling t from stream t of this child stream
@@ -428,8 +429,8 @@ def test_chunked_relabelings_equal_one_at_a_time(n, m, dim, quadratic, n_p, per_
     # the scores of one chunk equal the one-relabeling form row by row
     P = np.array([np.random.default_rng(seed + r).permutation(N) for r in range(n_p)])
     IX, IY = np.sort(P[:, : test.n], axis=1), np.sort(P[:, test.n :], axis=1)
-    got = _moment_stats(F, w, IX, IY)
-    want = [moment_mmd_sq(F, w, ix, iy) for ix, iy in zip(IX, IY)]
+    got = moment_mmd_sq(F, w, IX, IY)
+    want = [moment_stat(F, w, ix, iy) for ix, iy in zip(IX, IY)]
     assert got.tobytes() == np.array(want).tobytes()
     # and the test's relabelings, chunked by a lowered cap, equal the loop
     with mock.patch.object(permutation, "_CHUNK_ENTRIES", per_chunk * N * F.shape[0]):
@@ -457,8 +458,8 @@ def test_relabeling_chunks_stay_under_the_entry_cap(kernel, monkeypatch):
             return score(*args)
         return call
 
-    moments, grams = permutation._moment_stats, permutation._gram_stats
-    monkeypatch.setattr(permutation, "_moment_stats", recorded(moments, len))
+    moments, grams = permutation.moment_mmd_sq, permutation._gram_stats
+    monkeypatch.setattr(permutation, "moment_mmd_sq", recorded(moments, len))
     monkeypatch.setattr(permutation, "_gram_stats", recorded(grams, lambda G: 1))
     monkeypatch.setattr(permutation, "_CHUNK_ENTRIES", 1000)
     capped = permutation_test(data, kernel, sel, 23, 0.05, 0.5, RandomSource(2))

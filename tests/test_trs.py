@@ -467,6 +467,30 @@ def test_stacked_oracle_certifies_every_lane():
             _sphere_stack(A, t, rows)
 
 
+def test_greedy_margin_keeps_lanes_that_round_above_their_bound():
+    # round 2's lanes {0, 1} and {1, 2} share the bound 5 + ||(0.25, 0.3)||,
+    # and both computed values round above it, the second's further: only
+    # the rounding margin lets the second lane be solved after the first
+    qp = QuadProblem(5.0 * np.eye(3), np.array([0.25, 0.3, 0.25]))
+    assert _assert_greedy_is_reference(qp, 2).support == (1, 2)
+
+
+def test_greedy_solves_a_lane_whose_bound_overflows():
+    # t_a and t_j (features 0 and 3) are finite, but ||t_{a,j}|| overflows,
+    # and so does the round-2 lane {a, j}'s bound; that lane is solved, and
+    # fails its certificate, although lane {a, b} already beats lane {a, c}
+    A = np.diag([1.2e153] * 4)
+    A[0, 1] = A[1, 0] = 1e153
+    A[0, 3] = A[3, 0] = 1e152
+    t = np.array([1e154, 0.0, 0.0, 1e154])
+    qp = QuadProblem(A, t)
+    assert greedy_select(qp, 1).support == (0,)
+    with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="certificate"):
+        _sphere_stack(A, t, [[0, 1], [0, 2], [0, 3]])
+    with np.errstate(over="ignore"), pytest.raises(ArithmeticError, match="certificate"):
+        greedy_select(qp, 2)
+
+
 def test_package_imports_no_scipy():
     src = str(Path(mmdselect.__file__).resolve().parents[1])
     env = dict(os.environ)
