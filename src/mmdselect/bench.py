@@ -16,7 +16,6 @@ from __future__ import annotations
 import atexit
 import dataclasses
 import functools
-import glob
 import itertools
 import os
 import sys
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RandomSource, TwoSampleData, derive_stream
+from .core import RandomSource, TwoSampleData, _openblas_thread_functions, derive_stream
 from .mmd import LINEAR, KernelSpec, resolve_kernel
 from .permutation import _shared_tests
 from .selectors import SOLVER_FAMILIES
@@ -192,28 +191,6 @@ def _selector_kernel(sel) -> KernelSpec:
     """The kernel family of a named solver, bandwidth unresolved; linear for
     a selector that is not one of the solvers."""
     return KernelSpec(SOLVER_FAMILIES.get(sel.name, LINEAR))
-
-
-def _openblas_thread_functions():
-    """``(get, set)`` of the thread count of the OpenBLAS that numpy's wheel
-    bundles (``numpy.libs/libscipy_openblas*.so``), or ``None`` when there is
-    no such library.  numpy has loaded it already, so this binds the same
-    library numpy calls."""
-    import ctypes
-
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))):
-        suffix = "64_" if "openblas64" in os.path.basename(path) else ""
-        try:
-            lib = ctypes.CDLL(path)
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
 
 
 def blas_threads() -> int | None:

@@ -3,6 +3,9 @@ random streams, delimited-table ingestion, and train/test splitting."""
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import glob
 import math
 import os
 from dataclasses import dataclass, field
@@ -83,6 +86,51 @@ def _check_symmetric(A, name: str, tol: float) -> np.ndarray:
     if float(np.max(np.abs(A - A.T))) > tol * scale:
         raise ValueError(f"{name} must be symmetric")
     return 0.5 * A + 0.5 * A.T
+
+
+@functools.cache
+def _openblas_thread_functions():
+    """``(get, set)`` of the thread count of the OpenBLAS that numpy's wheel
+    bundles (``numpy.libs/libscipy_openblas*.so``), or ``None`` when there is
+    no such library.  numpy has loaded it already, so this binds the same
+    library numpy calls.  Resolved once per process."""
+    import ctypes
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))):
+        suffix = "64_" if "openblas64" in os.path.basename(path) else ""
+        try:
+            lib = ctypes.CDLL(path)
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block (or, as a decorator, the function) at one OpenBLAS
+    thread and restore the caller's count afterwards, also on an exception.
+
+    A product whose summation order follows the thread count then gives the
+    same bits at any count.  The count is process-wide: other threads of the
+    process run at one thread until the block ends.  The count is set only
+    when it is not 1 already, so a pinned pool worker pays one ``get``.  Does
+    nothing when numpy's OpenBLAS cannot be found."""
+    fns = _openblas_thread_functions()
+    before = None if fns is None else fns[0]()
+    if before is None or before == 1:
+        yield
+        return
+    fns[1](1)
+    try:
+        yield
+    finally:
+        fns[1](before)
 
 
 @dataclass(frozen=True)

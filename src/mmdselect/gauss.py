@@ -22,6 +22,7 @@ from functools import partial
 import numpy as np
 
 from .core import RandomSource, SelectionVector, TwoSampleData, derive_stream, make_selection
+from .core import _one_blas_thread
 from .mmd import KernelSpec, mmd_sq
 from .spectrahedron import SmdStats, SpectraPoint, entropy_radius, prop1_step_rule, smd_run
 
@@ -91,6 +92,10 @@ class GaussianPairTerms:
         ``1/n^2 sum e0_xx M_xx + 1/m^2 sum e0_yy M_yy`` evaluated at Z0."""
         Exx = np.exp(-self._exponents(self.X, self.X, Z0))
         Eyy = np.exp(-self._exponents(self.Y, self.Y, Z0))
+        return self._within_grad(Exx, Eyy)
+
+    def _within_grad(self, Exx: np.ndarray, Eyy: np.ndarray) -> np.ndarray:
+        """``within_grad_at`` from the xx and yy tables of ``exp_tables``."""
         Gx = self._weighted_outer_within(self.X, Exx) / (2.0 * self.gamma) / self.n**2
         Gy = self._weighted_outer_within(self.Y, Eyy) / (2.0 * self.gamma) / self.m**2
         return Gx + Gy
@@ -142,7 +147,11 @@ def gauss_objective(Z, data: TwoSampleData, gamma: float) -> float:
     squared MMD of the gaussian kernel at the same bandwidth.
     """
     terms = GaussianPairTerms(data, gamma)
-    Exx, Eyy, Exy = terms.exp_tables(_as_matrix(Z))
+    return _objective(terms, *terms.exp_tables(_as_matrix(Z)))
+
+
+def _objective(terms: GaussianPairTerms, Exx, Eyy, Exy) -> float:
+    """``gauss_objective`` from the tables of ``terms.exp_tables``."""
     n, m = terms.n, terms.m
     return (
         2.0 * float(Exy.sum()) / (n * m)
@@ -234,13 +243,14 @@ def write_trajectory(path: str, trajectory) -> None:
             )
 
 
-def _trace_point(outer, Z, data, gamma, lam, gap) -> CcpTracePoint:
-    F = gauss_objective(Z, data, gamma)
+def _trace_point(outer, Z, terms, tables, lam, gap) -> CcpTracePoint:
+    F = _objective(terms, *tables)
     l1 = float(np.abs(Z).sum())
     lead = float(np.linalg.eigvalsh(Z)[-1])
     return CcpTracePoint(outer, F + lam * l1, F, lam * l1, l1, lead, gap)
 
 
+@_one_blas_thread()
 def ccp_select(data: TwoSampleData, cfg: GaussConfig, d: int) -> CcpResult:
     """Penalized convex-concave procedure with stochastic mirror descent.
 
@@ -250,6 +260,10 @@ def ccp_select(data: TwoSampleData, cfg: GaussConfig, d: int) -> CcpResult:
     objective is non-increasing up to the inner optimization gap.  Returns the
     extracted selection, the trajectory, and the final matrix; the selection is
     flagged no-signal when |F| at the final point is below 1e-6.
+
+    Runs at one OpenBLAS thread (``core._one_blas_thread``, a process-wide
+    setting, restored on return), so its bits do not depend on the caller's
+    thread count.
     """
     D = data.dim
     if not 1 <= d <= D:
@@ -257,21 +271,22 @@ def ccp_select(data: TwoSampleData, cfg: GaussConfig, d: int) -> CcpResult:
     terms = GaussianPairTerms(data, cfg.gamma)
     point = SpectraPoint.identity(D)
     radius = entropy_radius(D)
-    traj = [_trace_point(0, point.Z, data, cfg.gamma, cfg.lam, 0.0)]
+    tables = terms.exp_tables(point.Z)  # shared by a trace point and the next linearization
+    traj = [_trace_point(0, point.Z, terms, tables, cfg.lam, 0.0)]
     gap = 0.0
     base_rule = prop1_step_rule(max(cfg.T_in, 1), radius)
     rule = lambda t, rm: 2.0 * base_rule(t, rm)  # twice the Proposition 1 step
     for outer in range(1, cfg.T_out + 1):
-        oracle = partial(
-            terms.surrogate_grad, within=terms.within_grad_at(point.Z), lam=cfg.lam, batch=cfg.batch
-        )
+        within = terms._within_grad(*tables[:2])
+        oracle = partial(terms.surrogate_grad, within=within, lam=cfg.lam, batch=cfg.batch)
         stats = SmdStats()
         point = smd_run(
             oracle, point, cfg.T_in, step_rule=rule, rng=derive_stream(cfg.rng, outer), stats=stats
         )
         # inner optimality gap estimate at kappa = 1/2: M sqrt(4 V / T)
         gap = 2.0 * max(stats.grad_norm_max, 1e-12) * float(np.sqrt(radius / max(cfg.T_in, 1)))
-        traj.append(_trace_point(outer, point.Z, data, cfg.gamma, cfg.lam, gap))
+        tables = terms.exp_tables(point.Z)
+        traj.append(_trace_point(outer, point.Z, terms, tables, cfg.lam, gap))
     selection = extract_selection(point, d)
     if abs(traj[-1].mmd_part) < 1e-6:
         selection = SelectionVector(selection.z, d, no_signal=True)

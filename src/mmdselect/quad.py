@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SelectionVector, TwoSampleData, make_selection
-from .core import _check_symmetric, _overflow_error
+from .core import _check_symmetric, _one_blas_thread, _overflow_error
 from .core import _freeze as _freeze_input
 from .spectrahedron import SpectraPoint, mirror_step, spectral_norm
 from .trs import TrsSolution, _embedded, _sphere_argmax, lambda_set, trs_max
@@ -311,6 +311,7 @@ def _certified_upper_bound(qp: QuadProblem, d: int) -> float:
     return min(b1, b2, b3)
 
 
+@_one_blas_thread()
 def relax_select(
     qp: QuadProblem, d: int, cfg: RelaxConfig | None = None
 ) -> tuple[RelaxState, QuadSolveReport]:
@@ -328,6 +329,10 @@ def relax_select(
     The returned report carries a certified upper bound (independent of the
     first-order iterate, see ``_certified_upper_bound``); the rounded support
     is re-solved exactly by the sphere oracle.
+
+    Runs at one OpenBLAS thread (``core._one_blas_thread``, a process-wide
+    setting, restored on return), so its bits do not depend on the caller's
+    thread count.
     """
     cfg = cfg or RelaxConfig()
     A, t = qp.A, qp.t

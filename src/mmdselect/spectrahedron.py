@@ -12,6 +12,7 @@ stated for.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,62 @@ def spectral_norm(G: np.ndarray) -> float:
     return float(max(-w[0], w[-1]))
 
 
+_U = 2.0**-53  # unit roundoff of float64
+_TINY = float(np.finfo(np.float64).tiny)  # smallest normal float64, 2^-1022
+
+
+def _norm_at_most(G: np.ndarray, r: float) -> bool:
+    """True only when ``||G||_2 <= r`` is proved, for an exactly symmetric
+    ``D x D`` matrix ``G``; False when it is not, when ``r`` is not a normal
+    positive number below ``2^1022``, and whenever an entry of ``G`` is inf or
+    NaN.
+
+    With ``P = G/r`` and ``P`` symmetric, ``||P||_2^4 = ||P^4||_2 <=
+    ||P^4||_F``, so ``||P^4||_F <= 1`` proves the claim.  The test is
+    ``f + 16 (D+2) u t^2 <= 1`` in floating point, where ``A = fl(G * fl(1/r))``,
+    ``Q = fl(A A)``, ``R = fl(Q Q)``, ``f = fl(||R||_F)`` summed row by row,
+    ``t = fl(tr Q)`` and ``u = 2^-53``.  With ``F = ||A||_F`` and the bounds of
+    Higham, *Accuracy and Stability of Numerical Algorithms*, §3.1 (an inner
+    product of length ``n`` in any order is within ``gamma_n |x|'|y|``,
+    ``gamma_n = nu/(1-nu)``) and §3.5 (``|fl(AB) - AB| <= gamma_D |A||B|``),
+    to first order in ``u``:
+
+    * scaling: ``A = (1+d0)(P + P o E)`` with ``|d0|, |E_ij| <= u``, so
+      ``||P||_2^4 <= ||A||_2^4 + 8u F^4``;
+    * products: ``||A^4 - Q^2||_F <= 2 gamma_D F^4`` (from ``Q = A^2 + E2``,
+      ``||E2||_F <= gamma_D F^2``) and ``||Q^2 - R||_F <= gamma_D F^4``, so
+      ``||A^4||_F <= ||R||_F + 3Du F^4``;
+    * the norm: row sums of ``D`` squares, then a sum of ``D`` rows and a
+      square root, so ``||R||_F <= f + (2D+1)u F^4``;
+    * the final addition to ``f`` rounds by at most ``u F^4``.
+
+    That is ``5(D+2)u F^4`` in all.  ``A`` is exactly symmetric, so the
+    diagonal of ``Q`` sums nonnegative terms and ``F^2 <= t (1 + gamma_2D)``;
+    the terms of order ``(Du)^2`` (small for ``D <= 2^20``) fit in the spare
+    ``11(D+2)u F^4``.  The spare also keeps a certified ``||G||_2`` at least
+    ``~2.75(D+2)u r`` below ``r``: ``2.75(D+2)`` times LAPACK's approximate
+    error bound ``u ||G||_2`` for the eigenvalues ``eigvalsh`` computes, so the
+    computed ``spectral_norm(G)`` does not exceed ``r`` either.
+
+    Underflow adds absolute errors of at most ``D 2^-1074`` to an entry.  They
+    matter only when ``F <= 1/2``, and then ``||P||_2 <= ||P||_F < 1``
+    directly.  Entries of ``P`` above 1 in magnitude disprove the claim
+    (``||P||_2 >= max |P_ij|``), so they are rejected before the products,
+    which then cannot overflow.
+    """
+    if not _TINY <= r < 2.0**1022:  # also NaN; 1/r stays normal
+        return False
+    s = 1.0 / r
+    if not float(np.abs(G).max()) * s <= 1.0:  # also inf and NaN entries
+        return False
+    A = G * s
+    Q = A @ A
+    R = Q @ Q
+    f = math.sqrt(float(np.einsum("ij,ij->i", R, R).sum()))
+    t = float(np.trace(Q))
+    return f + 16.0 * (G.shape[0] + 2) * _U * (t * t) <= 1.0
+
+
 def mirror_step(p: SpectraPoint, G: np.ndarray, step: float) -> SpectraPoint:
     """One entropic step against gradient ``G`` (descent direction).
 
@@ -88,6 +145,12 @@ def mirror_step(p: SpectraPoint, G: np.ndarray, step: float) -> SpectraPoint:
     G = _check_symmetric(G, "gradient", 1e-8)
     if G.shape[0] != p.dim:
         raise ValueError("gradient dimension mismatch")
+    return _mirror_step(p, G, step)
+
+
+def _mirror_step(p: SpectraPoint, G: np.ndarray, step: float) -> SpectraPoint:
+    """``mirror_step`` for a gradient already checked: symmetric, of the
+    point's dimension."""
     w, U = p.eigenpairs()
     logZ = (U * np.log(np.maximum(w, _LOG_FLOOR * p.tau))) @ U.T
     H = logZ - step * G
@@ -157,9 +220,13 @@ def smd_run(
     ``grad_oracle(Z, gen)`` must return a symmetric matrix estimating a
     (sub)gradient at ``Z``; draws come from the generator spawned off ``rng``.
     Returns the uniform average of the ``T_in`` iterates, trace-renormalized.
-    ``T_in = 0`` returns the start point unchanged.  A step decomposes the
-    gradient once (``eigvalsh``, for its norm) and ``H`` once (``eigh``);
-    ``stats``, when given, records the largest norm.
+    ``T_in = 0`` returns the start point unchanged.  A step checks the
+    gradient once, decomposes it at most once and ``H`` once (``eigh``): the
+    gradient's norm (``eigvalsh``) is computed only when ``_norm_at_most``
+    cannot prove that it stays at or below the running maximum, which the
+    step rule sees, so the maximum and every step are what they would be with
+    the norm computed on every step.  ``stats``, when given, records the
+    largest norm.
     """
     if T_in < 0:
         raise ValueError("T_in must be >= 0")
@@ -173,8 +240,11 @@ def smd_run(
     running_max = 0.0
     for t in range(1, T_in + 1):
         G = _check_symmetric(grad_oracle(point.Z, gen), "gradient", 1e-8)
-        running_max = max(running_max, spectral_norm(G))
-        point = mirror_step(point, G, float(step_rule(t, running_max)))
+        if G.shape[0] != p0.dim:
+            raise ValueError("gradient dimension mismatch")
+        if not _norm_at_most(G, running_max):
+            running_max = max(running_max, spectral_norm(G))
+        point = _mirror_step(point, G, float(step_rule(t, running_max)))
         acc += point.Z
     if stats is not None:
         stats.grad_norm_max = max(stats.grad_norm_max, running_max)

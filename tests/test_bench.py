@@ -253,6 +253,11 @@ def test_pool_workers_run_one_blas_thread_and_leave_the_caller_alone():
         put(before)
 
 
+def test_openblas_thread_functions_resolve_once_per_process():
+    # every serial sweep asks for the thread count; it must not reload OpenBLAS
+    assert _openblas_thread_functions() is _openblas_thread_functions()
+
+
 def test_serial_sweep_reports_the_callers_blas_threads():
     # one trial never starts a pool, whatever the worker count
     summary = run_power_experiment(small_config(trials=1, workers=4))

@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from mmdselect.core import RandomSource, TwoSampleData, derive_stream, make_selection
+from mmdselect import gauss, spectrahedron
+from mmdselect.bench import ExperimentConfig, SynthSpec, blas_threads, run_power_experiment
+from mmdselect.core import (
+    RandomSource,
+    TwoSampleData,
+    _openblas_thread_functions,
+    derive_stream,
+    make_selection,
+)
 from mmdselect.gauss import (
     GaussConfig,
     GaussianPairTerms,
@@ -14,6 +22,7 @@ from mmdselect.gauss import (
     write_trajectory,
 )
 from mmdselect.mmd import KernelSpec, mmd_sq
+from mmdselect.selectors import Selector
 
 from oracles import central_difference_gradient, stochastic_gradient, surrogate
 
@@ -286,3 +295,55 @@ def test_trajectory_dump_format(tmp_path):
     assert len(lines) == len(result.trajectory)
     rec = json.loads(lines[1])
     assert {"iteration", "objective", "mmd_part", "penalty", "l1_norm", "lead_eigenvalue"} <= set(rec)
+
+
+def test_null_sweep_ccp_takes_few_gradient_norms(monkeypatch):
+    # null-sweep's gauss-ccp: D=60, 50+50 training rows, T_out=2, T_in=60,
+    # batch=128.  The norm certificate spares eigvalsh on ~9 steps in 10.
+    counts = {"steps": 0, "norms": 0}
+    certificate, norm = spectrahedron._norm_at_most, spectrahedron.spectral_norm
+
+    def counted_certificate(G, r):
+        counts["steps"] += 1
+        return certificate(G, r)
+
+    def counted_norm(G):
+        counts["norms"] += 1
+        return norm(G)
+
+    monkeypatch.setattr(spectrahedron, "_norm_at_most", counted_certificate)
+    monkeypatch.setattr(spectrahedron, "spectral_norm", counted_norm)
+    selector = Selector("gauss-ccp", 3, {"T_out": 2, "T_in": 60, "batch": 128})
+    run_power_experiment(
+        ExperimentConfig(
+            spec=SynthSpec(blocks=20, n=100, m=100, mode="null"),
+            selectors=(selector,),
+            trials=8,
+            n_permutations=10,
+            rng=RandomSource(0),
+        )
+    )
+    assert counts["steps"] == 8 * 2 * 60
+    assert counts["norms"] <= 0.12 * counts["steps"]
+
+
+@pytest.mark.skipif(blas_threads() is None, reason="numpy's OpenBLAS not found")
+def test_ccp_runs_at_one_blas_thread_and_restores_the_callers_count(monkeypatch):
+    get, put = _openblas_thread_functions()
+    seen = []
+
+    def failing_smd_run(*args, **kwargs):
+        seen.append(get())
+        raise RuntimeError("inner solver failed")
+
+    monkeypatch.setattr(gauss, "smd_run", failing_smd_run)
+    data = rand_data(np.random.default_rng(5), 10, 10, 3)
+    before = get()
+    put(2)  # a caller count the pin would visibly change
+    try:
+        with pytest.raises(RuntimeError, match="inner solver failed"):
+            ccp_select(data, GaussConfig(gamma=1.0, T_out=1, T_in=2), 1)
+        assert seen == [1]
+        assert get() == 2
+    finally:
+        put(before)

@@ -17,12 +17,18 @@ when a change is meant to move these numbers).
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mmdselect
+from mmdselect import spectrahedron
 from mmdselect.bench import ExperimentConfig, SynthSpec, run_power_experiment, synth_block_gaussian
 from mmdselect.core import RandomSource
+from mmdselect.gauss import GaussConfig, ccp_select
 from mmdselect.mmd import KernelSpec, resolve_kernel
 from mmdselect.quad import assemble_quadratic, relax_select
 from mmdselect.selectors import Selector
@@ -98,6 +104,72 @@ def test_golden_mirror_descent(case):
     else:
         assert got["value"] == pytest.approx(want["value"], rel=REL, abs=0.0)
         assert got["upper_bound"] == pytest.approx(want["upper_bound"], rel=REL, abs=0.0)
+
+
+def _golden_ccp(mode, seed):
+    """``ccp_select`` on a golden ccp case, configured as its selector is."""
+    data, _ = synth_block_gaussian(
+        SynthSpec(blocks=20, n=100, m=100, mode=mode, seed=RandomSource(seed))
+    )
+    gamma = resolve_kernel(KernelSpec("gaussian"), data, 3).require_bandwidth()
+    return ccp_select(data, GaussConfig(gamma=gamma, rng=RandomSource(seed), **NULL_SWEEP_CCP), 3)
+
+
+@pytest.mark.parametrize("case", [c for c in golden_cases() if c[0] == "ccp"], ids=golden_id)
+def test_ccp_bits_do_not_depend_on_the_norm_certificate(monkeypatch, case):
+    # the certificate only decides whether smd_run computes a gradient norm
+    certified = _golden_ccp(*case[1:])
+    monkeypatch.setattr(spectrahedron, "_norm_at_most", lambda G, r: False)
+    exact = _golden_ccp(*case[1:])
+    assert certified.Z.Z.tobytes() == exact.Z.Z.tobytes()
+    assert certified.trajectory == exact.trajectory
+    assert certified.selection.support == exact.selection.support
+    assert certified.selection.z.tobytes() == exact.selection.z.tobytes()
+
+
+_THREADS_SCRIPT = """
+import dataclasses, hashlib
+from mmdselect.bench import SynthSpec, synth_block_gaussian
+from mmdselect.core import RandomSource
+from mmdselect.gauss import GaussConfig, ccp_select
+from mmdselect.mmd import KernelSpec, resolve_kernel
+from mmdselect.quad import assemble_quadratic, relax_select
+
+def sha(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+data, _ = synth_block_gaussian(SynthSpec(blocks=20, n=150, m=150, seed=RandomSource(5)))
+gamma = resolve_kernel(KernelSpec("gaussian"), data, 3).require_bandwidth()
+cfg = GaussConfig(gamma=gamma, T_out=2, T_in=60, batch=256, rng=RandomSource(5))
+res = ccp_select(data, cfg, 3)
+print("ccp", res.selection.support, sha(res.Z.Z, res.selection.z))
+for p in res.trajectory:
+    print(repr(dataclasses.astuple(p)))
+data, _ = synth_block_gaussian(
+    SynthSpec(blocks=30, n=100, m=100, mode="cov_shift", seed=RandomSource(1))
+)
+qp = assemble_quadratic(data, resolve_kernel(KernelSpec("quadratic"), data, 3).require_bandwidth())
+state, rep = relax_select(qp, 3)
+print("relax", rep.support, rep.value.hex(), rep.upper_bound.hex(), sha(state.Zbar, state.q))
+print(state.penalty_weight, state.max_violation.hex(), state.dual_gap_estimate.hex())
+"""
+
+
+def test_mirror_descent_bit_identical_across_blas_thread_counts():
+    # at these sizes both solvers gave thread-dependent bits before they ran
+    # at one OpenBLAS thread
+    src = str(Path(mmdselect.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        run = subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        outputs.append(run.stdout)
+    assert len(outputs[0].splitlines()) == 6
+    assert outputs[0] == outputs[1]
 
 
 if __name__ == "__main__":

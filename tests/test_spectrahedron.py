@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from mmdselect import spectrahedron
 from mmdselect.core import RandomSource, TwoSampleData
 from mmdselect.gauss import GaussianPairTerms
 from mmdselect.spectrahedron import (
     SmdStats,
     SpectraPoint,
+    _norm_at_most,
     bregman,
     entropy_radius,
     mirror_step,
@@ -233,9 +235,19 @@ def test_smd_step_decomposes_once(monkeypatch, T_in):
     terms = GaussianPairTerms(data, 3.0)
     start = SpectraPoint.identity(12)
     oracle = partial(terms.surrogate_grad, within=terms.within_grad_at(start.Z), lam=0.01, batch=16)
+    certified = []
+
+    def certificate(G, r, _original=spectrahedron._norm_at_most):
+        certified.append(_original(G, r))
+        return certified[-1]
+
+    monkeypatch.setattr(spectrahedron, "_norm_at_most", certificate)
     counts = _count_decompositions(monkeypatch)
     smd_run(oracle, start, T_in, rng=RandomSource(3))
-    assert counts == {"eigh": T_in, "eigvalsh": T_in, "svd": 0}
+    # step 1 has no running maximum to certify against; a later step takes
+    # the gradient's norm only when the certificate fails
+    assert len(certified) == T_in and not certified[0]
+    assert counts == {"eigh": T_in, "eigvalsh": 1 + certified[1:].count(False), "svd": 0}
 
 
 def test_smd_stats_record_largest_gradient_norm():
@@ -245,3 +257,75 @@ def test_smd_stats_record_largest_gradient_norm():
     smd_run(lambda Z, g: next(it), SpectraPoint.identity(2), 3, rng=RandomSource(0), stats=stats)
     assert stats.grad_norm_max == pytest.approx(2.0, rel=1e-15)
     assert stats.grad_norm_max == max(spectral_norm(G) for G in grads)
+
+
+def _certificate_holds(G, r):
+    """``_norm_at_most(G, r)``, checked against the norm ``eigvalsh`` gives."""
+    ok = _norm_at_most(G, r)
+    assert not ok or spectral_norm(G) <= r
+    return ok
+
+
+unit_entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    v=hnp.arrays(np.float64, st.integers(1, 64), elements=unit_entries),
+    sign=st.sampled_from((-1.0, 1.0)),
+    scale=st.sampled_from((1e-150, 1e-3, 1.0, 1e3, 1e150)),
+    factor=st.sampled_from((1.0, 1.0, 0.5, 1.01, 2.0)),
+    ulps=st.one_of(st.integers(-4, 4), st.integers(-256, 256), st.integers(-(2**40), 2**40)),
+)
+def test_norm_certificate_never_passes_a_norm_above_r(v, sign, scale, factor, ulps):
+    # rank one: ||G||_2 = |scale| v'v and ||P^4||_F = ||P||_2^4, so the
+    # certificate is at its tightest around r = ||G||_2
+    G = (sign * scale) * np.outer(v, v)
+    norm = spectral_norm(G)
+    r = factor * norm + ulps * np.spacing(factor * norm)
+    ok = _certificate_holds(G, r)
+    if norm >= 1e-300 and factor > 1.0:
+        assert ok
+    if factor <= 1.0 and ulps < 0:
+        assert not ok
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    ulps=st.integers(-(2**20), 2**20),
+)
+def test_norm_certificate_on_dense_symmetric_matrices(k, seed, ulps):
+    B = np.random.default_rng(seed).standard_normal((k, k))
+    G = 0.5 * B + 0.5 * B.T
+    norm = spectral_norm(G)
+    _certificate_holds(G, norm + ulps * np.spacing(norm))
+    # ||P^4||_F <= sqrt(k) ||P||_2^4, so any r past k^(1/8) ||G||_2 certifies
+    assert _certificate_holds(G, 1.0001 * k**0.125 * norm)
+
+
+@pytest.mark.parametrize("r", [0.0, -1.0, np.nan, np.inf, 2.0**1022, 2.0**-1023, 5e-324])
+def test_norm_certificate_refuses_r_outside_the_normal_range(r):
+    # a subnormal r is refused even for G = 0: 1/r could overflow
+    assert not _norm_at_most(np.zeros((3, 3)), r)
+    assert not _norm_at_most(np.diag([r / 4, 0.0, 0.0]), r)
+
+
+@pytest.mark.parametrize("r", [2.0**-1022, 2.0**1021])
+def test_norm_certificate_at_the_ends_of_the_normal_range(r):
+    G = np.diag([r, -r / 2, 0.0])
+    assert _certificate_holds(G / 4, r)
+    assert not _certificate_holds(G * 2, r)
+    assert not _certificate_holds(np.nextafter(G, np.inf), r)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("r", [1e-300, 1.0, 1e300])
+def test_norm_certificate_refuses_non_finite_entries(bad, r):
+    G = np.zeros((3, 3))
+    G[1, 2] = G[2, 1] = bad
+    assert not _norm_at_most(G, r)
+    G[1, 2] = G[2, 1] = 0.0
+    G[0, 0] = bad
+    assert not _norm_at_most(G, r)
