@@ -29,14 +29,10 @@ from .trs import TrsSolution, lambda_set, trs_max
 from .quad import (
     QuadProblem,
     QuadSolveReport,
-    RelaxConfig,
-    RelaxState,
-    approximation_gap,
     assemble_quadratic,
     exact_select_bnb,
     greedy_select,
     local_search,
-    project_capped_simplex,
     relax_select,
 )
 from .spectrahedron import SpectraPoint, bregman, mirror_step, smd_run

@@ -4,8 +4,8 @@ Assembles the quadratic-kernel selection problem ``max { z'Az + t'z :
 ||z||=1, ||z||_0 <= d }`` from data, then solves it with a ladder of methods:
 greedy forward selection, swap-based local search, an exact depth-first
 branch-and-bound whose node bound is the sphere oracle on the union of forced
-and candidate features, and a semidefinite-flavored relaxation solved by a
-first-order scheme with certified upper bounds.
+and candidate features, and an approximation algorithm that reports greedy +
+local search under a certified closed-form upper bound on the exact optimum.
 
 The matrix is stored PSD-shifted (``A - lambda_min(A) I`` when needed) and all
 reported objective values are translated back to the unshifted problem.
@@ -13,15 +13,14 @@ reported objective values are translated back to the unshifted problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import SelectionVector, TwoSampleData, make_selection
-from .core import _check_symmetric, _one_blas_thread, _overflow_error
+from .core import _check_symmetric, _overflow_error
 from .core import _freeze as _freeze_input
-from .spectrahedron import SpectraPoint, mirror_step, spectral_norm
-from .trs import TrsSolution, _embedded, _sphere_argmax, lambda_set, trs_max
+from .trs import _TOL, TrsSolution, _embedded, _sphere_argmax, lambda_set, trs_max
 
 GREEDY = "greedy"
 LOCAL = "local"
@@ -119,7 +118,7 @@ def _report(qp: QuadProblem, d: int, sol: TrsSolution, method: str, **kw) -> Qua
     )
 
 
-def greedy_select(qp: QuadProblem, d: int, tol: float = 1e-9) -> QuadSolveReport:
+def greedy_select(qp: QuadProblem, d: int) -> QuadSolveReport:
     """Forward selection: d rounds of best single-feature augmentation.
 
     Each round keeps the first maximum in index order of the augmented
@@ -134,20 +133,20 @@ def greedy_select(qp: QuadProblem, d: int, tol: float = 1e-9) -> QuadSolveReport
     S: list[int] = []
     for _ in range(d):
         rows = [sorted(S + [j]) for j in range(D) if j not in S]
-        best, lane = _sphere_argmax(qp.A, qp.t, rows, tol)
+        best, lane = _sphere_argmax(qp.A, qp.t, rows)
         S = rows[best]
     return _report(qp, d, _embedded(D, S, lane), GREEDY)
 
 
-def local_search(qp: QuadProblem, d: int, init, tol: float = 1e-9) -> QuadSolveReport:
+def local_search(qp: QuadProblem, d: int, init) -> QuadSolveReport:
     """Swap improvement: replace one selected feature while the oracle value
-    strictly improves by more than ``tol``; first improving swap restarts the
-    scan, for at most 100 sweeps."""
+    strictly improves by more than ``trs._TOL``; first improving swap restarts
+    the scan, for at most 100 sweeps."""
     D = qp.dim
     S = sorted(int(i) for i in init)
     if len(S) != min(d, D) or len(set(S)) != len(S):
         raise ValueError("init must be a duplicate-free support of size min(d, D)")
-    val = lambda_set(S, qp.A, qp.t, tol).value
+    val = lambda_set(S, qp.A, qp.t).value
     for _ in range(100):
         improved = False
         for i in list(S):
@@ -156,8 +155,8 @@ def local_search(qp: QuadProblem, d: int, init, tol: float = 1e-9) -> QuadSolveR
                     continue
                 cand = sorted(x for x in S if x != i) + [j]
                 cand.sort()
-                v = lambda_set(cand, qp.A, qp.t, tol).value
-                if v > val + tol:
+                v = lambda_set(cand, qp.A, qp.t).value
+                if v > val + _TOL:
                     S, val = cand, v
                     improved = True
                     break
@@ -165,13 +164,17 @@ def local_search(qp: QuadProblem, d: int, init, tol: float = 1e-9) -> QuadSolveR
                 break
         if not improved:
             break
-    sol = lambda_set(S, qp.A, qp.t, tol)
+    sol = lambda_set(S, qp.A, qp.t)
     return _report(qp, d, sol, LOCAL)
 
 
-def exact_select_bnb(
-    qp: QuadProblem, d: int, tol: float = 1e-9, dim_cap: int = 30
-) -> QuadSolveReport:
+def _greedy_local(qp: QuadProblem, d: int) -> QuadSolveReport:
+    """Greedy selection, its support padded to size d, refined by local search."""
+    g = greedy_select(qp, d)
+    return local_search(qp, d, _pad_support(g.support, d, qp.dim))
+
+
+def exact_select_bnb(qp: QuadProblem, d: int, dim_cap: int = 30) -> QuadSolveReport:
     """Exact solver: depth-first branch and bound over feature decisions.
 
     A node fixes a forced set and a candidate set; its bound is the sphere
@@ -186,10 +189,9 @@ def exact_select_bnb(
     if D > dim_cap:
         raise ValueError(f"dimension {D} exceeds the exact-solver cap {dim_cap}")
 
-    g = greedy_select(qp, d, tol)
-    l = local_search(qp, d, _pad_support(g.support, d, D), tol=tol)
+    l = _greedy_local(qp, d)
     init_sup = sorted(_pad_support(l.support, d, D))
-    best_val = lambda_set(init_sup, qp.A, qp.t, tol).value
+    best_val = lambda_set(init_sup, qp.A, qp.t).value
     best_sup = tuple(init_sup)
 
     tie_tol = 1e-9
@@ -203,13 +205,13 @@ def exact_select_bnb(
             sup = sorted(forced) if len(forced) >= d else union
             if not sup:
                 continue
-            v = lambda_set(sup, qp.A, qp.t, tol).value
+            v = lambda_set(sup, qp.A, qp.t).value
             if v > best_val + tie_tol or (
                 abs(v - best_val) <= tie_tol and tuple(sup) < best_sup
             ):
                 best_val, best_sup = v, tuple(sup)
             continue
-        node = lambda_set(union, qp.A, qp.t, tol)
+        node = lambda_set(union, qp.A, qp.t)
         if node.value <= best_val + tie_tol:
             continue
         # branch on the candidate carrying the most weight in the bound solution
@@ -219,7 +221,7 @@ def exact_select_bnb(
         stack.append((forced, rest))
         stack.append((forced + (j,), rest))
 
-    sol = lambda_set(best_sup, qp.A, qp.t, tol)
+    sol = lambda_set(best_sup, qp.A, qp.t)
     return _report(qp, d, sol, EXACT, node_count=node_count)
 
 
@@ -232,64 +234,6 @@ def _pad_support(support, d: int, D: int) -> list[int]:
         if j not in S:
             S.append(j)
     return sorted(S)
-
-
-def project_capped_simplex(v: np.ndarray, d: float) -> np.ndarray:
-    """Euclidean projection onto ``{q in [0,1]^D : sum q = d}`` by bisection
-    on the shift in ``clip(v - tau, 0, 1)``."""
-    v = np.asarray(v, dtype=np.float64)
-    D = v.shape[0]
-    if not 0 < d <= D:
-        raise ValueError("need 0 < d <= D for a non-empty capped simplex")
-    lo = float(np.min(v)) - 1.0
-    hi = float(np.max(v))
-    if np.clip(v - lo, 0.0, 1.0).sum() < d:
-        lo = float(np.min(v)) - d - 1.0
-    for _ in range(100):
-        tau = 0.5 * (lo + hi)
-        if np.clip(v - tau, 0.0, 1.0).sum() > d:
-            lo = tau
-        else:
-            hi = tau
-    q = np.clip(v - 0.5 * (lo + hi), 0.0, 1.0)
-    # exact mass repair of the residual bisection error
-    gap = d - float(q.sum())
-    if gap != 0.0:
-        room = (q < 1.0) if gap > 0 else (q > 0.0)
-        nr = int(np.count_nonzero(room))
-        if nr:
-            q[room] = np.clip(q[room] + gap / nr, 0.0, 1.0)
-    return q
-
-
-@dataclass(frozen=True)
-class RelaxState:
-    """Iterate of the relaxation: bordered PSD matrix, fractional selection
-    weights, final penalty weight, and the gap between the certified bound
-    and the primal objective."""
-
-    Zbar: np.ndarray
-    q: np.ndarray
-    penalty_weight: float
-    max_violation: float
-    dual_gap_estimate: float
-
-    def __post_init__(self):
-        Z = _freeze_input(self.Zbar)
-        q = _freeze_input(self.q)
-        Z.flags.writeable = False
-        q.flags.writeable = False
-        object.__setattr__(self, "Zbar", Z)
-        object.__setattr__(self, "q", q)
-
-
-@dataclass(frozen=True)
-class RelaxConfig:
-    """Iteration budget of ``relax_select``: penalty rounds, and mirror steps
-    per round."""
-
-    max_rounds: int = 40
-    inner_steps: int = 120
 
 
 def _certified_upper_bound(qp: QuadProblem, d: int) -> float:
@@ -311,149 +255,17 @@ def _certified_upper_bound(qp: QuadProblem, d: int) -> float:
     return min(b1, b2, b3)
 
 
-@_one_blas_thread()
-def relax_select(
-    qp: QuadProblem, d: int, cfg: RelaxConfig | None = None
-) -> tuple[RelaxState, QuadSolveReport]:
-    """Approximation algorithm: solve the relaxation, round, re-optimize.
 
-    The relaxation maximizes ``<A, W> + sqrt(t'Wt)`` over the trace-1 PSD
-    block ``W`` (the corner row of the bordered matrix is eliminated in closed
-    form as ``z = Wt / sqrt(t'Wt)``) subject to row linking constraints
-    ``|W_ij| <= M_ij q_i`` and ``sum_j |W_ij| <= sqrt(d) q_i`` with fractional
-    weights ``q`` on the capped simplex.  Linking constraints enter as hinge
-    penalties whose weight starts at 1 and doubles after each round that ends
-    with a violation of 1e-6 or more; ``W`` takes entropic mirror-ascent steps
-    and ``q`` is re-projected exactly each round.
 
-    The returned report carries a certified upper bound (independent of the
-    first-order iterate, see ``_certified_upper_bound``); the rounded support
-    is re-solved exactly by the sphere oracle.
-
-    Runs at one OpenBLAS thread (``core._one_blas_thread``, a process-wide
-    setting, restored on return), so its bits do not depend on the caller's
-    thread count.
-    """
-    cfg = cfg or RelaxConfig()
-    A, t = qp.A, qp.t
-    D = qp.dim
-    if not 1 <= d <= D:
-        raise ValueError(f"budget d={d} outside [1, {D}]")
-
-    M = np.full((D, D), 0.5)
-    np.fill_diagonal(M, 1.0)
-    sqd = float(np.sqrt(d))
-    tnorm = float(np.linalg.norm(t))
-
-    def violations(W, q):
-        aW = np.abs(W)
-        v_entry = np.maximum(aW - M * q[:, None], 0.0)
-        v_row = np.maximum(aW.sum(axis=1) - sqd * q, 0.0)
-        return v_entry, v_row
-
-    def row_requirement(W):
-        aW = np.abs(W)
-        return np.maximum((aW / M).max(axis=1), aW.sum(axis=1) / sqd)
-
-    point = SpectraPoint.identity(D)
-    W = point.Z
-    q = np.full(D, d / D)
-    rho = 1.0
-    max_viol = np.inf
-    for _ in range(cfg.max_rounds):
-        for it in range(cfg.inner_steps):
-            tWt = float(t @ point.Z @ t)
-            G = A.copy()
-            if tnorm > 0:
-                G += np.outer(t, t) / (2.0 * max(np.sqrt(max(tWt, 0.0)), 1e-12))
-            v_entry, v_row = violations(point.Z, q)
-            sub = np.sign(point.Z) * (v_entry > 0)
-            sub += np.sign(point.Z) * (v_row > 0)[:, None]
-            G -= rho * 0.5 * (sub + sub.T)
-            opn = spectral_norm(G)
-            step = np.sqrt(np.log(max(D, 2)) / cfg.inner_steps) / max(opn, 1e-12)
-            point = mirror_step(point, -G, step)  # ascent
-        W = point.Z
-        q = project_capped_simplex(row_requirement(W), d)
-        v_entry, v_row = violations(W, q)
-        max_viol = max(
-            float(v_entry.max()) if v_entry.size else 0.0,
-            float(v_row.max()) if v_row.size else 0.0,
-        )
-        if max_viol < 1e-6:
-            break
-        rho *= 2.0
-
-    # bordered matrix: best corner row for the current block, closed form
-    tWt = float(t @ W @ t)
-    if tnorm > 0 and tWt > 0:
-        z_row = W @ t / np.sqrt(tWt)
-    else:
-        z_row = np.zeros(D)
-    Zbar = np.zeros((D + 1, D + 1))
-    Zbar[0, 0] = 1.0
-    Zbar[0, 1:] = z_row
-    Zbar[1:, 0] = z_row
-    Zbar[1:, 1:] = W
-
-    order = np.argsort(-q, kind="stable")
-    support = sorted(int(i) for i in order[:d])
-    sol = lambda_set(support, qp.A, qp.t)
-
-    bound_stored = _certified_upper_bound(qp, d)
-    primal_obj = float(np.sum(A * W)) + float(np.sqrt(max(tWt, 0.0)))
-    state = RelaxState(
-        Zbar=Zbar,
-        q=q,
-        penalty_weight=rho,
-        max_violation=max_viol,
-        dual_gap_estimate=bound_stored - primal_obj,
-    )
-    report = _report(
-        qp,
-        d,
-        sol,
-        RELAX,
-        upper_bound=qp.report_value(bound_stored),
+def relax_select(qp: QuadProblem, d: int) -> QuadSolveReport:
+    """Approximation algorithm with a certified bound: the support, selection
+    and value of greedy refined by local search (``_greedy_local``), reported
+    with the closed-form upper bound on the exact optimum
+    (``_certified_upper_bound``), so that ``value <= exact <= upper_bound``."""
+    report = _greedy_local(qp, d)
+    return replace(
+        report,
+        method=RELAX,
+        upper_bound=qp.report_value(_certified_upper_bound(qp, d)),
         bound_certified=True,
-    )
-    return state, report
-
-
-@dataclass(frozen=True)
-class GapCheck:
-    passed: bool
-    lower_ok: bool
-    upper_ok: bool
-    envelope: float
-    slack: float
-
-
-def approximation_gap(
-    relax_value: float,
-    exact_value: float,
-    t: np.ndarray,
-    D: int,
-    d: int,
-) -> GapCheck:
-    """Check the approximation-ratio sandwich for a certified relaxation bound:
-
-    ``exact <= relax <= ||t||_2 + min(D/d * exact, d * exact - min_k |t_k|)``
-
-    within a relative slack of 1e-5.  Values must refer to the PSD-shifted
-    problem.  Returns the measured slack (envelope minus bound).
-    """
-    t = np.asarray(t, dtype=np.float64)
-    tol = 1e-5 * max(1.0, abs(exact_value))
-    envelope = float(np.linalg.norm(t)) + min(
-        D / d * exact_value, d * exact_value - float(np.min(np.abs(t)))
-    )
-    lower_ok = exact_value <= relax_value + tol
-    upper_ok = relax_value <= envelope + tol
-    return GapCheck(
-        passed=bool(lower_ok and upper_ok),
-        lower_ok=bool(lower_ok),
-        upper_ok=bool(upper_ok),
-        envelope=envelope,
-        slack=float(envelope - relax_value),
     )

@@ -13,14 +13,7 @@ from .core import RandomSource, SelectionVector, TwoSampleData, derive_stream, s
 from .gauss import GaussConfig, ccp_select, lambda_grid_select
 from .linear import linear_coefficients, linear_select
 from .mmd import GAUSSIAN, LINEAR, QUADRATIC, KernelSpec
-from .quad import (
-    _pad_support,
-    assemble_quadratic,
-    exact_select_bnb,
-    greedy_select,
-    local_search,
-    relax_select,
-)
+from .quad import _greedy_local, assemble_quadratic, exact_select_bnb, greedy_select, relax_select
 
 SOLVER_FAMILIES = {
     "linear": LINEAR,
@@ -109,12 +102,11 @@ class Selector:
         if self.name == "quad-greedy":
             report = greedy_select(qp, d)
         elif self.name == "quad-local":
-            g = greedy_select(qp, d)
-            report = local_search(qp, d, _pad_support(g.support, d, qp.dim))
+            report = _greedy_local(qp, d)
         elif self.name == "quad-exact":
             report = exact_select_bnb(qp, d)
         else:
-            _, report = relax_select(qp, d)
+            report = relax_select(qp, d)
         diag = {"method": report.method, "value": report.value}
         if report.upper_bound is not None:
             diag["upper_bound"] = report.upper_bound

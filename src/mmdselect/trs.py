@@ -31,6 +31,10 @@ import numpy as np
 from .core import _check_symmetric
 from .core import _freeze as _freeze_input
 
+# Value resolution of the oracle's callers: local search takes a swap only
+# when it raises the oracle value by more than this.
+_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class TrsSolution:
@@ -176,12 +180,10 @@ def _secular(lam: np.ndarray, Q: np.ndarray, tt: np.ndarray, tnorm: float):
     return z, float(mu), hard
 
 
-def _oracle_input(A, t, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _oracle_input(A, t) -> tuple[np.ndarray, np.ndarray]:
     """``A`` and ``t`` as float64 after the checks every oracle call makes:
-    positive ``tol``, finite entries, symmetric ``A`` (its symmetric part is
-    used) and matching dimensions."""
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    finite entries, symmetric ``A`` (its symmetric part is used) and matching
+    dimensions."""
     A = np.asarray(A, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64).reshape(-1)
     if not (np.isfinite(A).all() and np.isfinite(t).all()):
@@ -192,13 +194,14 @@ def _oracle_input(A, t, tol: float) -> tuple[np.ndarray, np.ndarray]:
     return A, t
 
 
-def _certified(A, t, z, mu: float, lmax: float, value: float, hard: bool, tnorm: float, tol: float):
-    """One lane's answer, once its KKT residual and ``mu >= lambda_max`` pass
-    the certificate and nothing overflowed; otherwise ``ArithmeticError``."""
+def _certified(A, t, z, mu: float, lmax: float, value: float, hard: bool, tnorm: float):
+    """One lane's answer, once its KKT residual (at most ``1e-6 (1 + ||t||)``)
+    and ``mu >= lambda_max - 1e-7`` pass the certificate and nothing
+    overflowed; otherwise ``ArithmeticError``."""
     res = _residual(A, t, z, mu)
-    bound = max(tol, 1e-6) * (1.0 + tnorm)
+    bound = 1e-6 * (1.0 + tnorm)
     # written so that a NaN residual or multiplier fails, as does an overflowed bound
-    if not (math.isfinite(bound) and res <= bound and mu >= lmax - max(tol, 1e-7)):
+    if not (math.isfinite(bound) and res <= bound and mu >= lmax - 1e-7):
         raise ArithmeticError(
             f"sphere maximizer failed its optimality certificate (residual {res:.3e})"
         )
@@ -206,7 +209,7 @@ def _certified(A, t, z, mu: float, lmax: float, value: float, hard: bool, tnorm:
     return value, z, mu, res, hard
 
 
-def _solve_lane(a, tv, lam, Q, tt, tol: float):
+def _solve_lane(a, tv, lam, Q, tt):
     """Sphere maximum of one lane ``(a, tv)`` of size k: the closed form for
     k = 1 (``lam``, ``Q`` and ``tt`` are None), else the scalar branches on
     the lane's slice of a stacked ``eigh`` (``lam``, ``Q``) and ``tt = Q'tv``,
@@ -229,7 +232,7 @@ def _solve_lane(a, tv, lam, Q, tt, tol: float):
             return lmax, z, lmax, res, True
         z, mu, hard = _secular(lam, Q, tt, tnorm)
         value = float(z @ a @ z + tv @ z)
-    return _certified(a, tv, z, mu, lmax, value, hard, tnorm, tol)
+    return _certified(a, tv, z, mu, lmax, value, hard, tnorm)
 
 
 def _eig_stack(As: np.ndarray, ts: np.ndarray):
@@ -240,14 +243,14 @@ def _eig_stack(As: np.ndarray, ts: np.ndarray):
     return lam, Q, (ts[:, None, :] @ Q)[:, 0, :]
 
 
-def _solve_stack(As: np.ndarray, ts: np.ndarray, tol: float) -> list:
+def _solve_stack(As: np.ndarray, ts: np.ndarray) -> list:
     """Sphere maxima of the problems ``(As[i], ts[i])``, all of one size k,
     one ``_solve_lane`` each.  The inputs are taken as validated.  Returns
     one ``(value, z, mu, kkt_residual, hard_case)`` tuple per lane."""
     if ts.shape[1] == 1:
-        return [_solve_lane(a, tv, None, None, None, tol) for a, tv in zip(As, ts)]
+        return [_solve_lane(a, tv, None, None, None) for a, tv in zip(As, ts)]
     lam, Q, tts = _eig_stack(As, ts)
-    return [_solve_lane(As[i], ts[i], lam[i], Q[i], tts[i], tol) for i in range(len(ts))]
+    return [_solve_lane(As[i], ts[i], lam[i], Q[i], tts[i]) for i in range(len(ts))]
 
 
 # Sub-matrix entries one stacked call gathers at most (2 MiB of float64), so
@@ -255,12 +258,12 @@ def _solve_stack(As: np.ndarray, ts: np.ndarray, tol: float) -> list:
 _STACK_ENTRIES = 1 << 18
 
 
-def _stacks(A, t, supports, tol: float):
+def _stacks(A, t, supports):
     """``(offset, As, ts)`` for consecutive stacks of ``supports``, sorted,
     duplicate-free index rows of one length k: ``A`` and ``t`` are validated
     once, and each stack gathers at most ``_STACK_ENTRIES`` sub-matrix
     entries (or one support, if that is larger)."""
-    A, t = _oracle_input(A, t, tol)
+    A, t = _oracle_input(A, t)
     rows = np.asarray(supports, dtype=np.intp)
     k = rows.shape[1]
     step = max(1, _STACK_ENTRIES // (k * k))
@@ -269,20 +272,20 @@ def _stacks(A, t, supports, tol: float):
         yield s, A[r[:, :, None], r[:, None, :]], t[r]
 
 
-def _sphere_stack(A, t, supports, tol: float = 1e-9) -> list:
+def _sphere_stack(A, t, supports) -> list:
     """Oracle lanes of several supports of one ``(A, t)``, scored stack by
     stack (see ``_stacks``).  Lane ``i`` equals
-    ``lambda_set(supports[i], A, t, tol)`` before re-embedding (see
+    ``lambda_set(supports[i], A, t)`` before re-embedding (see
     ``_embedded``)."""
     lanes = []
-    for _, As, ts in _stacks(A, t, supports, tol):
-        lanes += _solve_stack(As, ts, tol)
+    for _, As, ts in _stacks(A, t, supports):
+        lanes += _solve_stack(As, ts)
     return lanes
 
 
-def _sphere_argmax(A, t, supports, tol: float = 1e-9) -> tuple:
+def _sphere_argmax(A, t, supports) -> tuple:
     """``(i, lane)``: the first maximum in index order of the lanes that
-    ``_sphere_stack(A, t, supports, tol)`` returns, solving only the lanes
+    ``_sphere_stack(A, t, supports)`` returns, solving only the lanes
     that can reach it.
 
     Lane ``S`` is at most ``lambda_max(A_S) + ||t_S||``, read from its
@@ -294,7 +297,7 @@ def _sphere_argmax(A, t, supports, tol: float = 1e-9) -> tuple:
     counts as infinite, so its lane is solved first and its certificate is
     checked.  A solved lane is bit-identical to its ``_sphere_stack`` lane."""
     best, best_value, best_lane = -1, -math.inf, None
-    for s, As, ts in _stacks(A, t, supports, tol):
+    for s, As, ts in _stacks(A, t, supports):
         k = ts.shape[1]
         if k == 1:
             lo = hi = As[:, 0, 0]
@@ -310,7 +313,7 @@ def _sphere_argmax(A, t, supports, tol: float = 1e-9) -> tuple:
             if bound[i] + margin[i] < best_value:
                 break
             eig = (None, None, None) if k == 1 else (lam[i], Q[i], tts[i])
-            lane = _solve_lane(As[i], ts[i], *eig, tol)
+            lane = _solve_lane(As[i], ts[i], *eig)
             if lane[0] > best_value or (lane[0] == best_value and s + i < best):
                 best, best_value, best_lane = s + i, lane[0], lane
     return best, best_lane
@@ -324,13 +327,13 @@ def _embedded(D: int, idx, lane) -> TrsSolution:
     return TrsSolution(value, z, mu, res, hard)
 
 
-def trs_max(A: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> TrsSolution:
+def trs_max(A: np.ndarray, t: np.ndarray) -> TrsSolution:
     """Global maximum of ``z'Az + t'z`` over the unit sphere."""
-    A, t = _oracle_input(A, t, tol)
-    return TrsSolution(*_solve_stack(A[None], t[None], tol)[0])
+    A, t = _oracle_input(A, t)
+    return TrsSolution(*_solve_stack(A[None], t[None])[0])
 
 
-def lambda_set(S, A: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> TrsSolution:
+def lambda_set(S, A: np.ndarray, t: np.ndarray) -> TrsSolution:
     """Oracle value of a support: ``max z'Az + t'z`` with ``supp(z)`` inside S.
 
     The maximizer is re-embedded into the ambient dimension.
@@ -343,4 +346,4 @@ def lambda_set(S, A: np.ndarray, t: np.ndarray, tol: float = 1e-9) -> TrsSolutio
         raise ValueError("support indices outside the variable range")
     if len(set(idx)) != len(idx):
         raise ValueError("support contains repeated indices")
-    return _embedded(D, idx, _sphere_stack(A, t, [idx], tol)[0])
+    return _embedded(D, idx, _sphere_stack(A, t, [idx])[0])

@@ -12,7 +12,9 @@ writer and the median heuristic are written out cell by cell and one
 temporary per operation, the forms the library's versions must match bit for
 bit.  The gaussian surrogate sums its pair terms one difference vector at a
 time.  The baseline selectors (a fixed support, a random one) and the
-gradient wrapper are what the tests drive the library with.
+gradient wrapper are what the tests drive the library with.  The
+approximation-ratio envelope is the sandwich a certified relaxation bound
+must sit in.
 """
 
 from __future__ import annotations
@@ -357,3 +359,42 @@ class RandomSelector:
         z = np.zeros(train.dim)
         z[idx] = 1.0
         return make_selection(z, self.d)
+
+
+@dataclass(frozen=True)
+class GapCheck:
+    passed: bool
+    lower_ok: bool
+    upper_ok: bool
+    envelope: float
+    slack: float
+
+
+def approximation_gap(
+    relax_value: float,
+    exact_value: float,
+    t: np.ndarray,
+    D: int,
+    d: int,
+) -> GapCheck:
+    """Check the approximation-ratio sandwich for a certified relaxation bound:
+
+    ``exact <= relax <= ||t||_2 + min(D/d * exact, d * exact - min_k |t_k|)``
+
+    within a relative slack of 1e-5.  Values must refer to the PSD-shifted
+    problem.  Returns the measured slack (envelope minus bound).
+    """
+    t = np.asarray(t, dtype=np.float64)
+    tol = 1e-5 * max(1.0, abs(exact_value))
+    envelope = float(np.linalg.norm(t)) + min(
+        D / d * exact_value, d * exact_value - float(np.min(np.abs(t)))
+    )
+    lower_ok = exact_value <= relax_value + tol
+    upper_ok = relax_value <= envelope + tol
+    return GapCheck(
+        passed=bool(lower_ok and upper_ok),
+        lower_ok=bool(lower_ok),
+        upper_ok=bool(upper_ok),
+        envelope=envelope,
+        slack=float(envelope - relax_value),
+    )

@@ -22,8 +22,6 @@ from mmdselect.linear import LinearCoefficients, linear_coefficients, linear_sel
 from mmdselect.mmd import ConcentrationInputs, KernelSpec, concentration_epsilon, median_heuristic, mmd_sq
 from mmdselect.quad import (
     QuadProblem,
-    RelaxConfig,
-    approximation_gap,
     exact_select_bnb,
     greedy_select,
     local_search,
@@ -41,6 +39,7 @@ from mmdselect.spectrahedron import (
 from mmdselect.trs import trs_max
 
 from oracles import (
+    approximation_gap,
     brute_force_linear,
     brute_force_quad,
     central_difference_gradient,
@@ -149,13 +148,12 @@ def test_criterion_04_relaxation_sandwich():
     certified = 0
     passed = 0
     total = 100
-    cfg = RelaxConfig(max_rounds=10, inner_steps=50)
     for _ in range(total):
         D = int(gen.integers(3, 11))
         d = int(gen.integers(1, min(4, D) + 1))
         qp = psd_instance(gen, D)
         e = exact_select_bnb(qp, d)
-        _, rep = relax_select(qp, d, cfg)
+        rep = relax_select(qp, d)
         if rep.bound_certified:
             certified += 1
             check = approximation_gap(rep.upper_bound, e.value, qp.t, D, d)

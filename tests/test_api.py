@@ -8,19 +8,19 @@ import types
 import pytest
 
 import mmdselect
-from mmdselect import ExperimentConfig, GaussConfig, RelaxConfig
+from mmdselect import ExperimentConfig, GaussConfig
 from mmdselect.selectors import SOLVER_FAMILIES, Selector
 
 PUBLIC_NAMES = [
     "ConcentrationInputs", "DataFormatError", "DegenerateBandwidthError", "ExperimentConfig",
     "GaussConfig", "KernelSpec", "LinearCoefficients", "PermutationReport", "QuadProblem",
-    "QuadSolveReport", "RandomSource", "RelaxConfig", "RelaxState", "SelectionMetrics",
+    "QuadSolveReport", "RandomSource", "SelectionMetrics",
     "SelectionVector", "Selector", "SpectraPoint", "SynthSpec", "TrsSolution", "TwoSampleData",
-    "approximation_gap", "assemble_quadratic", "bregman", "ccp_select", "concentration_epsilon",
+    "assemble_quadratic", "bregman", "ccp_select", "concentration_epsilon",
     "derive_stream", "exact_select_bnb", "extract_selection", "fdp_ndp", "gauss_objective",
     "greedy_select", "kernel_eval", "lambda_grid_select", "lambda_set", "linear_coefficients",
     "linear_select", "load_two_sample", "local_search", "median_heuristic", "mirror_step",
-    "mmd_sq", "permutation_test", "project_capped_simplex", "relax_select",
+    "mmd_sq", "permutation_test", "relax_select",
     "run_power_experiment", "run_recovery_experiment", "save_two_sample", "smd_run",
     "split_train_test", "synth_block_gaussian", "trs_max", "wishart_sample",
 ]
@@ -37,7 +37,6 @@ def test_package_exports_exactly_the_public_names():
 @pytest.mark.parametrize(
     "config, fields",
     [
-        (RelaxConfig, ["max_rounds", "inner_steps"]),
         (GaussConfig, ["gamma", "lam", "T_out", "T_in", "batch", "lambda_grid", "rng"]),
         (
             ExperimentConfig,
@@ -45,7 +44,7 @@ def test_package_exports_exactly_the_public_names():
              "rng", "workers", "corrected"],
         ),
     ],
-    ids=["RelaxConfig", "GaussConfig", "ExperimentConfig"],
+    ids=["GaussConfig", "ExperimentConfig"],
 )
 def test_config_fields(config, fields):
     assert [f.name for f in dataclasses.fields(config)] == fields

@@ -1,22 +1,21 @@
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from mmdselect.core import TwoSampleData, make_selection
 from mmdselect.mmd import KernelSpec, mmd_sq
 from mmdselect.quad import (
     QuadProblem,
-    RelaxConfig,
-    approximation_gap,
     assemble_quadratic,
     exact_select_bnb,
     greedy_select,
     local_search,
-    project_capped_simplex,
     relax_select,
 )
 from mmdselect.trs import lambda_set, trs_max
 
-from oracles import brute_force_quad
+from oracles import approximation_gap, brute_force_quad
 
 
 def psd_instance(gen, D):
@@ -156,26 +155,27 @@ def test_bnb_dimension_cap():
         exact_select_bnb(qp, 2, dim_cap=5)
 
 
-def test_sandwich_greedy_local_exact_relax():
-    gen = np.random.default_rng(101)
-    for _ in range(8):
-        D = int(gen.integers(4, 9))
-        d = int(gen.integers(1, 4))
-        qp = psd_instance(gen, D)
-        g = greedy_select(qp, d)
-        l = local_search(qp, d, list(g.support) if len(g.support) == d else sorted(set(g.support) | set(range(d)))[:d])
-        e = exact_select_bnb(qp, d)
-        state, r = relax_select(qp, d, RelaxConfig(max_rounds=12, inner_steps=60))
-        assert g.value <= l.value + 1e-6
-        assert l.value <= e.value + 1e-6
-        assert e.value <= r.upper_bound + 1e-6
-        assert r.value <= e.value + 1e-6
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), D=st.integers(4, 8), d=st.integers(1, 3))
+def test_sandwich_greedy_local_exact_relax(seed, D, d):
+    # the certified bound dominates the B&B optimum, and the relaxation
+    # reports greedy + local search's selection under it
+    qp = psd_instance(np.random.default_rng(seed), D)
+    g = greedy_select(qp, d)
+    l = local_search(qp, d, list(g.support) if len(g.support) == d else sorted(set(g.support) | set(range(d)))[:d])
+    e = exact_select_bnb(qp, d)
+    r = relax_select(qp, d)
+    assert g.value <= l.value + 1e-6
+    assert l.value <= e.value + 1e-6
+    assert e.value <= r.upper_bound + 1e-6
+    assert r.support == l.support
+    assert r.value == l.value
 
 
 def test_relax_full_budget_bound_tight():
     gen = np.random.default_rng(6)
     qp = psd_instance(gen, 5)
-    _, rep = relax_select(qp, 5, RelaxConfig(max_rounds=6, inner_steps=40))
+    rep = relax_select(qp, 5)
     w_full = trs_max(qp.A, qp.t).value + qp.shift
     assert rep.upper_bound == pytest.approx(w_full, abs=1e-6)
     assert rep.value == pytest.approx(w_full, abs=1e-6)
@@ -183,33 +183,18 @@ def test_relax_full_budget_bound_tight():
 
 def test_relax_diag_rounding():
     qp = QuadProblem(np.diag([5.0, 3.0, 1.0]), np.zeros(3))
-    state, rep = relax_select(qp, 1)
+    rep = relax_select(qp, 1)
     assert rep.support == (0,)
     assert rep.value == pytest.approx(5.0, abs=1e-8)
     assert rep.upper_bound <= 15.0 + 1e-9  # D/d * optimum sanity cap
     assert rep.bound_certified
 
 
-def test_relax_state_invariants():
-    gen = np.random.default_rng(19)
-    qp = psd_instance(gen, 6)
-    state, rep = relax_select(qp, 2, RelaxConfig(max_rounds=10, inner_steps=50))
-    Z = state.Zbar
-    assert Z.shape == (7, 7)
-    assert Z[0, 0] == pytest.approx(1.0, abs=1e-9)
-    assert np.trace(Z) == pytest.approx(2.0, abs=1e-7)
-    assert float(np.linalg.eigvalsh(0.5 * (Z + Z.T))[0]) >= -1e-7
-    assert state.q.sum() == pytest.approx(2.0, abs=1e-9)
-    assert state.q.min() >= -1e-12 and state.q.max() <= 1.0 + 1e-12
-    assert state.dual_gap_estimate >= -1e-6
-
-
 def test_relax_deterministic():
     gen = np.random.default_rng(77)
     qp = psd_instance(gen, 5)
-    s1, r1 = relax_select(qp, 2)
-    s2, r2 = relax_select(qp, 2)
-    assert np.array_equal(s1.Zbar, s2.Zbar)
+    r1 = relax_select(qp, 2)
+    r2 = relax_select(qp, 2)
     assert r1.support == r2.support and r1.value == r2.value
 
 
@@ -222,28 +207,6 @@ def test_approximation_gap_checks():
     assert not bad.passed and not bad.upper_ok
     below = approximation_gap(1.0, 2.0, t, D=3, d=1)
     assert not below.lower_ok
-
-
-def test_capped_simplex_projection_properties():
-    gen = np.random.default_rng(3)
-    for _ in range(100):
-        D = int(gen.integers(1, 12))
-        d = int(gen.integers(1, D + 1))
-        v = gen.standard_normal(D) * 3.0
-        q = project_capped_simplex(v, d)
-        assert q.sum() == pytest.approx(d, abs=1e-9)
-        assert q.min() >= -1e-12 and q.max() <= 1.0 + 1e-12
-        # optimality vs random feasible candidates
-        for _ in range(5):
-            w = gen.random(D)
-            w = np.clip(w * d / max(w.sum(), 1e-12), 0.0, 1.0)
-            gap = d - w.sum()
-            room = w < 1.0
-            if room.any():
-                w[room] += gap / room.sum()
-            w = np.clip(w, 0.0, 1.0)
-            if abs(w.sum() - d) < 1e-9:
-                assert np.sum((q - v) ** 2) <= np.sum((w - v) ** 2) + 1e-8
 
 
 def test_bnb_node_bound_admissible():

@@ -373,7 +373,7 @@ def test_stack_cap_splits_calls_without_changing_lanes(monkeypatch):
     greedy = greedy_select(qp, 4)
     calls = []
     solve = trs._solve_stack
-    monkeypatch.setattr(trs, "_solve_stack", lambda As, ts, tol: calls.append(len(ts)) or solve(As, ts, tol))
+    monkeypatch.setattr(trs, "_solve_stack", lambda As, ts: calls.append(len(ts)) or solve(As, ts))
     monkeypatch.setattr(trs, "_STACK_ENTRIES", 2 * 4 * 4)
     parts = _sphere_stack(A, t, rows)
     assert calls == [2, 2, 2, 2, 1]
