@@ -192,7 +192,9 @@ def _cmd_select(args) -> dict:
 
 def _cmd_test(args) -> dict:
     kernel = _resolve_cli_kernel(args)
+    start = time.perf_counter()
     data = load_two_sample(args.x, args.y)
+    load_s = time.perf_counter() - start
     rng = RandomSource(args.seed)
     selector = Selector(args.solver, args.d, _selector_options(args))
     report = permutation_test(
@@ -221,7 +223,11 @@ def _cmd_test(args) -> dict:
         },
         "selection": _selection_payload(report.selection),
         "test": report.to_dict(),
-        "diagnostics": {"method": args.solver, "calibration": report.calibration},
+        "diagnostics": {
+            "method": args.solver,
+            "calibration": report.calibration,
+            "stage_s": {"load": load_s, **report.stage_s},
+        },
     }
 
 

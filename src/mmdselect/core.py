@@ -218,11 +218,13 @@ def make_selection(z: np.ndarray, d: int, no_signal: bool = False) -> SelectionV
     return SelectionVector(z / nrm, d, no_signal=no_signal)
 
 
-def _numbered_lines(fh):
-    """``(line number, line)`` for each line of ``fh`` that is not blank."""
-    for lineno, line in enumerate(fh, 1):
-        if line.strip():
-            yield lineno, line.rstrip("\n")
+def _table_lines(path: str) -> list:
+    """``(line number, line)`` of each line of the file at ``path`` that is
+    not blank or whitespace-only, from one pass that decodes the file once.
+    Line ends are translated (universal newlines) and dropped, and so is a
+    UTF-8 byte-order mark."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        return [(lineno, line.rstrip("\n")) for lineno, line in enumerate(fh, 1) if line.strip()]
 
 
 def _parse_row(lineno: int, line: str):
@@ -238,31 +240,25 @@ def _parse_row(lineno: int, line: str):
     return vals, None
 
 
-def _first_data_line(path: str, rows):
-    """The first data line of ``rows``: the first non-blank line, or the next
-    one when the first has a cell that ``float()`` rejects (a header).  Raises
-    ``DataFormatError`` when there is none."""
-    first = next(rows, None)
-    if first is None:
+def _data_lines(path: str, lines: list) -> list:
+    """The data lines of :func:`_table_lines`'s ``lines``: all of them, or all
+    after the first when the first has a cell that ``float()`` rejects (a
+    header).  Raises ``DataFormatError`` when there are none."""
+    if not lines:
         raise DataFormatError(f"{path}: empty file")
-    if _parse_row(*first)[1] is None:
-        return first
-    data = next(rows, None)
-    if data is None:
+    if _parse_row(*lines[0])[1] is None:
+        return lines
+    if len(lines) == 1:
         raise DataFormatError(f"{path}: empty file (header only)")
-    return data
+    return lines[1:]
 
 
-def _data_rows(path: str):
+def _data_rows(path: str, lines: list):
     """``(line number, line, values)`` of each data row, by the table grammar:
     every cell goes through ``float()``, and the error names the row, column
     and cell at fault."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        # decode the whole file before any cell error, as _parse_table does
-        rows = iter(list(_numbered_lines(fh)))
-    first_data = _first_data_line(path, rows)
     width = None
-    for lineno, line in [first_data, *rows]:
+    for lineno, line in _data_lines(path, lines):
         vals, err = _parse_row(lineno, line)
         if err is not None:
             lno, col, cell = err
@@ -276,9 +272,12 @@ def _data_rows(path: str):
         yield lineno, line, vals
 
 
-def _parse_rows(path: str) -> np.ndarray:
-    """The table grammar, one row at a time (see :func:`_data_rows`)."""
-    return np.array([vals for _, _, vals in _data_rows(path)], dtype=np.float64)
+def _parse_rows(path: str, lines: list | None = None) -> np.ndarray:
+    """The table grammar, one row at a time (see :func:`_data_rows`), over
+    ``lines`` from :func:`_table_lines`, or over the file when not given."""
+    if lines is None:
+        lines = _table_lines(path)
+    return np.array([vals for _, _, vals in _data_rows(path, lines)], dtype=np.float64)
 
 
 def _plain(line: str) -> bool:
@@ -287,45 +286,40 @@ def _plain(line: str) -> bool:
     return line.isascii() and "_" not in line
 
 
-def _parse_table(path: str) -> np.ndarray:
+def _parse_table(path: str, lines: list | None = None) -> np.ndarray:
     """Parse a comma-delimited numeric table; a non-numeric first row is a header.
 
     Blank and whitespace-only lines are skipped and a UTF-8 byte-order mark
-    is ignored.  numpy's C reader parses the non-blank lines after the
-    header.  A table it refuses (bad cells, ragged rows), or reads into
-    another shape, is parsed again by :func:`_parse_rows`, which returns the
-    array or raises the error that names the row, column and cell.  Data
-    lines with ``_`` or a non-ASCII character (``float()`` spellings such as
-    ``1_000`` or non-ASCII digits) go to :func:`_parse_rows` at once, so such
-    a table is read once, not twice.
+    is ignored.  ``lines`` are the file's :func:`_table_lines`, read here
+    when not given.  numpy's C reader parses the data lines.  A table it
+    refuses (bad cells, ragged rows), or reads into another shape, is parsed
+    by :func:`_parse_rows` from the same lines, which returns the array or
+    raises the error that names the row, column and cell.  Data lines with
+    ``_`` or a non-ASCII character (``float()`` spellings such as ``1_000``
+    or non-ASCII digits) go to :func:`_parse_rows` at once.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        rows = _numbered_lines(fh)
-        first_data = _first_data_line(path, rows)
-        n_rows, plain = 1, _plain(first_data[1])
-        for _, line in rows:
-            n_rows += 1
-            plain = plain and _plain(line)
-        table = None
-        if plain:
-            fh.seek(0)
-            data_lines = (line for lineno, line in _numbered_lines(fh) if lineno >= first_data[0])
-            try:
-                table = np.loadtxt(data_lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
-            except ValueError:
-                pass
-    if table is None or table.shape != (n_rows, first_data[1].count(",") + 1):
-        return _parse_rows(path)
+    if lines is None:
+        lines = _table_lines(path)
+    data = [line for _, line in _data_lines(path, lines)]
+    table = None
+    if all(map(_plain, data)):
+        try:
+            table = np.loadtxt(data, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if table is None or table.shape != (len(data), data[0].count(",") + 1):
+        return _parse_rows(path, lines)
     return table
 
 
 def _load_table(path: str) -> np.ndarray:
     """:func:`_parse_table`, and a ``DataFormatError`` naming the row, column
     and text of the first cell that parses to a value that is not finite
-    (``nan``, ``inf``, ``1e400``)."""
-    table = _parse_table(path)
+    (``nan``, ``inf``, ``1e400``).  The file is read once."""
+    lines = _table_lines(path)
+    table = _parse_table(path, lines)
     if not np.isfinite(table).all():
-        for lineno, line, vals in _data_rows(path):
+        for lineno, line, vals in _data_rows(path, lines):
             for j, v in enumerate(vals):
                 if not math.isfinite(v):
                     cell = line.split(",")[j].strip()

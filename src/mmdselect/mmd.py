@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SelectionVector, TwoSampleData
+from .core import SelectionVector, TwoSampleData, _one_blas_thread, _overflow_error
 
 LINEAR = "linear"
 QUADRATIC = "quadratic"
@@ -186,11 +186,32 @@ def median_heuristic(data: TwoSampleData) -> float:
 
     Computed on full-dimensional points.  The gaussian default bandwidth is
     this value; the quadratic default is ``sqrt(median)/2``.
+
+    The median is selected in place in the distance matrix, its own
+    temporary, with one ``partition``; for an even count it is the mean of
+    the two middle values, as ``np.median`` takes it, so the bits are
+    ``np.median``'s.  The cross product runs at one OpenBLAS thread, so the
+    bits do not depend on the caller's thread count either.  Raises
+    ``ValueError`` when a distance or the median overflows float64 (data of
+    scale ~1e154 and up) and ``DegenerateBandwidthError`` when the median is
+    zero.
     """
-    d2 = np.add.outer(np.sum(data.X**2, axis=1), np.sum(data.Y**2, axis=1))
-    d2 -= 2.0 * data.X @ data.Y.T
-    np.maximum(d2, 0.0, out=d2)
-    med = float(np.median(d2, overwrite_input=True))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = np.add.outer(np.sum(data.X**2, axis=1), np.sum(data.Y**2, axis=1))
+        with _one_blas_thread():
+            d2 -= 2.0 * data.X @ data.Y.T
+        np.maximum(d2, 0.0, out=d2)
+        part = d2.ravel()
+        k = part.size // 2
+        part.partition(k)
+        med = part[k]
+        if part.size % 2 == 0:
+            med = (part[:k].max() + med) / 2
+        # partition sorts NaN last, so a NaN distance lies in part[k:]
+        has_nan = np.isnan(part[k:].max())
+    med = float(med)
+    if has_nan or not math.isfinite(med):
+        raise _overflow_error("the median heuristic's squared distances")
     if med <= 0.0:
         raise DegenerateBandwidthError(
             "median cross-group distance is zero; supply a bandwidth explicitly"

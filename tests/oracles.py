@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from mmdselect import mmd
-from mmdselect.core import derive_stream, make_selection
+from mmdselect.core import _one_blas_thread, derive_stream, make_selection
 from mmdselect.gauss import GaussianPairTerms
 
 
@@ -284,8 +284,11 @@ def save_matrix_reference(path: str, M: np.ndarray, header: list[str] | None = N
 
 def median_heuristic_reference(X: np.ndarray, Y: np.ndarray) -> float:
     """Median of the clamped squared cross-group distances, one temporary per
-    operation."""
-    d2 = np.sum(X**2, axis=1)[:, None] + np.sum(Y**2, axis=1)[None, :] - 2.0 * X @ Y.T
+    operation.  The cross product runs at one BLAS thread, as in
+    ``mmd.median_heuristic``, whose bits do not depend on the thread count."""
+    with _one_blas_thread():
+        XY = 2.0 * X @ Y.T
+    d2 = np.sum(X**2, axis=1)[:, None] + np.sum(Y**2, axis=1)[None, :] - XY
     return float(np.median(np.maximum(d2, 0.0)))
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -78,6 +79,17 @@ def test_non_finite_cell_exits_2_naming_it(csv_pair, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {py}: non-finite cell 'nan' at row 2, column 3\n"
 
 
+def _scaled_pair(csv_pair, tmp_path, scale):
+    """The two tables of ``csv_pair`` with every cell times ``scale``."""
+    data = load_two_sample(*csv_pair)
+    paths = []
+    for i, M in enumerate((data.X, data.Y)):
+        big = tmp_path / f"big{i}.csv"
+        big.write_text("\n".join(",".join(repr(float(scale * v)) for v in row) for row in M) + "\n")
+        paths.append(str(big))
+    return paths
+
+
 @pytest.mark.parametrize("command", ["select", "test"])
 @pytest.mark.parametrize(
     "solver, what",
@@ -92,16 +104,28 @@ def test_overflowing_coefficients_exit_2_naming_it(
 ):
     # finite cells near 1e150: the coefficients (squared gaps, or their
     # norm) overflow float64
-    data = load_two_sample(*csv_pair)
-    paths = []
-    for i, M in enumerate((data.X, data.Y)):
-        big = tmp_path / f"big{i}.csv"
-        big.write_text("\n".join(",".join(repr(float(1e150 * v)) for v in row) for row in M) + "\n")
-        paths.append(str(big))
+    paths = _scaled_pair(csv_pair, tmp_path, 1e150)
     code = dispatch([command, "--solver", solver, "--d", "2", "--x", paths[0], "--y", paths[1]])
     assert code == 2
     assert capsys.readouterr().err == (
         f"error: float64 overflow in {what}; rescale the columns of the data\n"
+    )
+    assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize("command", ["select", "test"])
+@pytest.mark.parametrize("solver", ["quad-greedy", "gauss-ccp"])
+def test_overflowing_median_heuristic_exits_2_naming_it(
+    command, solver, csv_pair, tmp_path, capsys, recwarn
+):
+    # cells near 1e160: squared distances overflow float64 before any
+    # bandwidth exists
+    paths = _scaled_pair(csv_pair, tmp_path, 1e160)
+    code = dispatch([command, "--solver", solver, "--d", "2", "--x", paths[0], "--y", paths[1]])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: float64 overflow in the median heuristic's squared distances; "
+        "rescale the columns of the data\n"
     )
     assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
 
@@ -122,8 +146,9 @@ def test_test_subcommand_deterministic(csv_pair, tmp_path):
     code1, doc1 = run(args, tmp_path, "a.json")
     code2, doc2 = run(args, tmp_path, "b.json")
     assert code1 == 0 and code2 == 0
-    doc1.pop("runtime_ms")
-    doc2.pop("runtime_ms")
+    for doc in (doc1, doc2):
+        doc.pop("runtime_ms")
+        doc["diagnostics"].pop("stage_s")
     assert doc1 == doc2
     assert set(doc1["test"]) >= {"statistic", "p_value", "reject", "n_permutations"}
     assert 0.0 <= doc1["test"]["p_value"] <= 1.0
@@ -137,7 +162,10 @@ def test_test_reports_calibration(csv_pair, tmp_path):
         tmp_path,
     )
     assert code == 0
+    stage_s = doc["diagnostics"].pop("stage_s")
     assert doc["diagnostics"] == {"method": "quad-greedy", "calibration": "moments"}
+    assert set(stage_s) == {"load", "split_select", "calibration"}
+    assert all(type(v) is float and math.isfinite(v) and v >= 0.0 for v in stage_s.values())
 
 
 def test_test_corrected_flag(csv_pair, tmp_path):

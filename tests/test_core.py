@@ -174,6 +174,39 @@ def test_a_table_with_float_only_spellings_is_read_once(tmp_path, monkeypatch, c
     assert calls == [1]
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("a,b\n1,2\n\n3,4\n", None),
+        ("1,2\n3,x\n", "non-numeric cell 'x' at row 2, column 2"),  # loadtxt refuses it
+        ("1,2\n3\n", "row 2 has 1 columns, expected 2"),  # ragged
+        ("1,2\n3,nan\n", "non-finite cell 'nan' at row 2, column 2"),
+        ("1_0,2\n3,inf\n", "non-finite cell 'inf' at row 2, column 2"),  # row parser only
+        ("\n \n", "empty file"),
+    ],
+    ids=["header", "bad-cell", "ragged", "nan", "row-parser-inf", "blank"],
+)
+def test_load_reads_each_file_once(tmp_path, monkeypatch, text, error):
+    px = write(tmp_path, "x.csv", text)
+    py = write(tmp_path, "y.csv", "5,6\n")
+    opened = []
+    builtin_open = open
+
+    def counted(file, *args, **kwargs):
+        opened.append(str(file))
+        return builtin_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counted)
+    if error is None:
+        assert load_two_sample(px, py).n == 2
+        assert opened == [px, py]
+    else:
+        with pytest.raises(DataFormatError) as exc:
+            load_two_sample(px, py)
+        assert str(exc.value) == f"{px}: {error}"
+        assert opened == [px]
+
+
 def test_a_reader_result_of_the_wrong_shape_goes_to_the_row_parser(tmp_path, monkeypatch):
     px = write(tmp_path, "x.csv", "a,b\n1,2\n3,4\n")
     loadtxt = np.loadtxt

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -6,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import mmdselect
 from mmdselect.core import SelectionVector, TwoSampleData, make_selection
 from mmdselect.gauss import gauss_objective
 from mmdselect.mmd import gram as mmd_gram
@@ -188,6 +194,76 @@ def test_median_heuristic_matches_the_reference_at_scale():
     gen = np.random.default_rng(4)
     X, Y = gen.standard_normal((300, 40)), gen.standard_normal((250, 40)) + 0.3
     assert median_heuristic(TwoSampleData(X, Y)) == median_heuristic_reference(X, Y)
+
+
+@pytest.mark.parametrize(
+    "n, m, dim, tied",
+    [
+        (101, 103, 5, False),  # 10403 entries, odd
+        (100, 120, 3, False),  # 12000, even
+        (160, 125, 2, True),  # 20000, even, few distinct values
+        (151, 99, 4, True),  # 14949, odd
+        (400, 300, 8, True),  # 120000, even
+    ],
+)
+def test_median_heuristic_matches_the_reference_above_1e4_entries(n, m, dim, tied):
+    # large enough for numpy's single-kth selection to take its fast path
+    gen = np.random.default_rng(n * m + dim)
+    if tied:
+        X = gen.integers(-2, 3, (n, dim)).astype(float)
+        Y = gen.integers(-2, 4, (m, dim)).astype(float)
+    else:
+        X, Y = gen.standard_normal((n, dim)), 1.5 * gen.standard_normal((m, dim))
+    got = np.float64(median_heuristic(TwoSampleData(X, Y)))
+    assert got.tobytes() == np.float64(median_heuristic_reference(X, Y)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "X, Y",
+    [
+        (1e160 * np.eye(3), -1e160 * np.eye(3)),  # inf - inf: NaN distances
+        (np.zeros((1, 1)), np.array([[1.3e154], [1.31e154]])),  # finite, mean overflows
+    ],
+)
+def test_median_heuristic_overflow_raises_without_warnings(X, Y):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^float64 overflow in the median heuristic's squared"):
+            median_heuristic(TwoSampleData(X, Y))
+
+
+_THREADS_SCRIPT = """
+import hashlib
+from mmdselect.bench import SynthSpec, synth_block_gaussian
+from mmdselect.core import RandomSource
+from mmdselect.mmd import median_heuristic
+from mmdselect.quad import assemble_quadratic
+
+for seed in range(4):
+    data, _ = synth_block_gaussian(
+        SynthSpec(blocks=20, n=100, m=100, mode="shift", seed=RandomSource(seed))
+    )
+    qp = assemble_quadratic(data, 1.0)
+    digest = hashlib.sha256(qp.A.tobytes() + qp.t.tobytes()).hexdigest()
+    print(median_heuristic(data).hex(), digest)
+"""
+
+
+def test_bandwidth_and_coefficients_bit_identical_across_blas_thread_counts():
+    # seed 0's cross product X @ Y.T differed in its last bit between one
+    # and two OpenBLAS threads before the median ran it at one
+    src = str(Path(mmdselect.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        run = subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        outputs.append(run.stdout)
+    assert len(outputs[0].splitlines()) == 4
+    assert outputs[0] == outputs[1]
 
 
 def test_concentration_epsilon_reference_point():
