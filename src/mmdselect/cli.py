@@ -11,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -120,6 +121,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each ``parse_args`` call returns a
+    fresh namespace, so nothing carries over between calls."""
+    return build_parser()
+
+
 def _selector_options(args) -> dict:
     opts = {}
     if getattr(args, "lam", None) is not None:
@@ -169,12 +177,17 @@ def _diagnostics_payload(diag: dict, trajectory_path: str | None) -> dict:
 
 def _cmd_select(args) -> dict:
     kernel = _resolve_cli_kernel(args)
+    start = time.perf_counter()
     data = load_two_sample(args.x, args.y)
+    loaded = time.perf_counter()
     rng = RandomSource(args.seed)
     selector = Selector(args.solver, args.d, _selector_options(args))
     kernel = resolve_kernel(kernel, data, args.d)
+    resolved = time.perf_counter()
     selection, diag = selector.select_with_diagnostics(data, kernel, rng)
     objective = mmd_sq(kernel, selection, data)
+    done = time.perf_counter()
+    stage_s = {"load": loaded - start, "bandwidth": resolved - loaded, "select": done - resolved}
     return {
         "config": {
             "solver": args.solver,
@@ -186,7 +199,7 @@ def _cmd_select(args) -> dict:
             "y": args.y,
         },
         "selection": _selection_payload(selection, objective),
-        "diagnostics": _diagnostics_payload(diag, args.trajectory),
+        "diagnostics": {**_diagnostics_payload(diag, args.trajectory), "stage_s": stage_s},
     }
 
 
@@ -307,9 +320,8 @@ def _cmd_bench(args, kind: str) -> dict:
 
 
 def dispatch(argv) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     start = time.perf_counter()

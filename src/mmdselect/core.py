@@ -291,7 +291,8 @@ def _parse_table(path: str, lines: list | None = None) -> np.ndarray:
 
     Blank and whitespace-only lines are skipped and a UTF-8 byte-order mark
     is ignored.  ``lines`` are the file's :func:`_table_lines`, read here
-    when not given.  numpy's C reader parses the data lines.  A table it
+    when not given.  numpy's C reader parses the data lines into an array
+    allocated once, the count of data lines being known.  A table it
     refuses (bad cells, ragged rows), or reads into another shape, is parsed
     by :func:`_parse_rows` from the same lines, which returns the array or
     raises the error that names the row, column and cell.  Data lines with
@@ -304,7 +305,9 @@ def _parse_table(path: str, lines: list | None = None) -> np.ndarray:
     table = None
     if all(map(_plain, data)):
         try:
-            table = np.loadtxt(data, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+            table = np.loadtxt(
+                data, dtype=np.float64, delimiter=",", comments=None, ndmin=2, max_rows=len(data)
+            )
         except ValueError:
             pass
     if table is None or table.shape != (len(data), data[0].count(",") + 1):

@@ -181,36 +181,146 @@ def mmd_sq(spec: KernelSpec, z, data: TwoSampleData) -> float:
     return float(np.sum(Gxx)) / (n * n) + float(np.sum(Gyy)) / (m * m) - 2.0 * cross / (n * m)
 
 
+# Entries of the squared-distance matrix that one block of the median
+# heuristic holds, about 0.5 MiB of float64, so its memory stays bounded.
+_MEDIAN_BLOCK = 1 << 16
+# A block is a whole number of 24-row panels, at least two and more than 2400
+# entries, and the last block takes the remainder.  numpy's OpenBLAS (its
+# Haswell dgemm) hands its kernel the rows of ``X`` in panels of 24, three of
+# its 8-wide unrolls, and sends products of at most 1200 entries to another
+# kernel, so each row meets the same kernel as in the full product and the
+# blocks have the full product's bits (``tests/test_mmd.py`` compares them).
+# A single row would go to gemv.  Two panels keep the product fast.
+_GEMM_PANEL = 24
+_GEMM_SMALL = 2400
+# (i, j) pairs drawn to bracket the median, gathered this many at a time, and
+# the bracket's half-width in binomial standard deviations of a sample rank.
+_BRACKET_PAIRS = 8192
+_BRACKET_GATHER = 1024
+_BRACKET_SD = 4.0
+
+
+def _median_rows(n: int, m: int) -> int:
+    """Rows per block of the n x m distance matrix; ``n`` for one block."""
+    panels = max(2, _MEDIAN_BLOCK // (_GEMM_PANEL * m), _GEMM_SMALL // (_GEMM_PANEL * m) + 1)
+    rows = _GEMM_PANEL * panels
+    return rows if n >= 2 * rows else n
+
+
+def _median_bracket(X2, Y, sx, sy, k: int) -> tuple[float, float]:
+    """A range ``[lo, hi]`` that holds the squared distances of rank ``k - 1``
+    and ``k`` with high probability, from the distances of
+    ``_BRACKET_PAIRS`` (i, j) pairs drawn independently by a fixed-seed
+    generator.  ``lo`` is ``-inf`` when the range reaches zero, where the
+    clamp puts the negative distances."""
+    n, m = len(X2), len(Y)
+    gen = np.random.default_rng(0)
+    I = gen.integers(0, n, _BRACKET_PAIRS)
+    J = gen.integers(0, m, _BRACKET_PAIRS)
+    vals = np.empty(_BRACKET_PAIRS)
+    for s in range(0, _BRACKET_PAIRS, _BRACKET_GATHER):
+        i, j = I[s : s + _BRACKET_GATHER], J[s : s + _BRACKET_GATHER]
+        xy = np.einsum("ij,ij->i", X2.take(i, 0), Y.take(j, 0))
+        vals[s : s + _BRACKET_GATHER] = sx[i] + sy[j] - xy
+    np.maximum(vals, 0.0, out=vals)
+    q = k / (n * m)
+    mid, half = q * _BRACKET_PAIRS, _BRACKET_SD * math.sqrt(_BRACKET_PAIRS * q * (1.0 - q))
+    a = min(max(math.floor(mid - half), 0), _BRACKET_PAIRS - 1)
+    b = min(max(math.ceil(mid + half), 0), _BRACKET_PAIRS - 1)
+    vals.partition([a, b])
+    lo, hi = float(vals[a]), float(vals[b])
+    return (lo if lo > 0.0 else -math.inf), hi
+
+
+def _distance_blocks(X2, Y, sx, sy, rows: int, check_nan: bool, out=None):
+    """The unclamped squared distances ``fl(sx_i + sy_j) - (2X)_i . y_j``,
+    one block of whole rows at a time: each in one reused buffer, or in its
+    rows of ``out``.  The sums come from the product of ``[sx 1]`` and
+    ``[1 sy]``, whose two terms are exact, so it rounds once, as ``+`` does,
+    and runs faster than a broadcast ``+``."""
+    n, m = len(X2), len(Y)
+    xs, ys = np.column_stack([sx, np.ones(n)]), np.column_stack([np.ones(m), sy])
+    starts = range(0, n - rows + 1, rows)
+    ends = [*starts[1:], n]
+    xy = np.empty((rows + n % rows, m))  # the last block, the tallest
+    buf = np.empty_like(xy) if out is None else out
+    for i0, i1 in zip(starts, ends):
+        block = buf[: i1 - i0] if out is None else out[i0:i1]
+        np.matmul(X2[i0:i1], Y.T, out=xy[: i1 - i0])
+        np.matmul(xs[i0:i1], ys.T, out=block)
+        np.subtract(block, xy[: i1 - i0], out=block)
+        if check_nan and np.isnan(block).any():
+            raise _overflow_error("the median heuristic's squared distances")
+        yield block
+
+
+def _bracketed_candidates(X2, Y, sx, sy, k: int, even: bool, rows: int, check_nan: bool):
+    """The distances inside a sampled bracket and the rank of the median
+    among them, from one blocked pass; None for a matrix of one block and
+    when the bracket misses rank ``k`` (or ``k - 1`` for an even count)."""
+    if rows == len(X2):
+        return None
+    lo, hi = _median_bracket(X2, Y, sx, sy, k)
+    below, kept = 0, []
+    masks = np.empty((2, rows + len(X2) % rows, len(Y)), bool)
+    for block in _distance_blocks(X2, Y, sx, sy, rows, check_nan):
+        inside, under = masks[:, : len(block)]
+        np.less_equal(block, hi, out=inside)
+        if lo > -math.inf:
+            below += int(np.count_nonzero(np.less(block, lo, out=under)))
+            np.not_equal(inside, under, out=inside)
+        kept.append(np.compress(inside.ravel(), block))
+    cand = np.concatenate(kept)
+    r = k - below
+    return (cand, r) if even <= r < len(cand) else None
+
+
 def median_heuristic(data: TwoSampleData) -> float:
     """Median of squared cross-group Euclidean distances (midpoint convention).
 
     Computed on full-dimensional points.  The gaussian default bandwidth is
     this value; the quadratic default is ``sqrt(median)/2``.
 
-    The median is selected in place in the distance matrix, its own
-    temporary, with one ``partition``; for an even count it is the mean of
-    the two middle values, as ``np.median`` takes it, so the bits are
-    ``np.median``'s.  The cross product runs at one OpenBLAS thread, so the
-    bits do not depend on the caller's thread count either.  Raises
-    ``ValueError`` when a distance or the median overflows float64 (data of
-    scale ~1e154 and up) and ``DegenerateBandwidthError`` when the median is
-    zero.
+    The clamped squared distances ``max(fl(sx_i + sy_j) - (2X)_i . y_j, 0)``
+    are computed in row blocks of about ``_MEDIAN_BLOCK`` entries, and the
+    pass keeps only the count of distances below a bracket ``[lo, hi]`` and
+    the distances inside it.  The bracket comes from a sample of pairs drawn
+    over the whole matrix; when the counts show that it missed the middle
+    ranks, the pass runs once more and keeps every distance.  A matrix of one
+    block is kept whole.  The median is the candidate of rank ``size // 2``,
+    and for an even count the mean of it and the one below, as ``np.median``
+    takes them, so the bits are ``np.median``'s on the whole matrix.  Memory
+    is two blocks plus the candidates, about 5% of the matrix.  The cross
+    product runs at one OpenBLAS thread, so the bits do not depend on the
+    caller's thread count either.  Raises ``ValueError`` when a distance or
+    the median overflows float64 (data of scale ~1e154 and up) and
+    ``DegenerateBandwidthError`` when the median is zero.
     """
+    X, Y = data.X, data.Y
+    n, m = len(X), len(Y)
+    k = n * m // 2
+    even = (n * m) % 2 == 0
     with np.errstate(over="ignore", invalid="ignore"):
-        d2 = np.add.outer(np.sum(data.X**2, axis=1), np.sum(data.Y**2, axis=1))
+        sx, sy = np.sum(X**2, axis=1), np.sum(Y**2, axis=1)
+        X2 = 2.0 * X
+        # |2 x.y| <= sx + sy, so finite norms well inside float64 give finite distances
+        check_nan = not float(sx.max()) + float(sy.max()) < 1e300
+        rows = _median_rows(n, m)
         with _one_blas_thread():
-            d2 -= 2.0 * data.X @ data.Y.T
-        np.maximum(d2, 0.0, out=d2)
-        part = d2.ravel()
-        k = part.size // 2
-        part.partition(k)
-        med = part[k]
-        if part.size % 2 == 0:
-            med = (part[:k].max() + med) / 2
-        # partition sorts NaN last, so a NaN distance lies in part[k:]
-        has_nan = np.isnan(part[k:].max())
+            found = _bracketed_candidates(X2, Y, sx, sy, k, even, rows, check_nan)
+            if found is None:
+                d = np.empty((n, m))
+                for _ in _distance_blocks(X2, Y, sx, sy, rows, check_nan, out=d):
+                    pass
+                found = d.ravel(), k
+        cand, r = found
+        np.maximum(cand, 0.0, out=cand)
+        cand.partition(r)
+        med = cand[r]
+        if even:
+            med = (cand[:r].max() + med) / 2
     med = float(med)
-    if has_nan or not math.isfinite(med):
+    if not math.isfinite(med):
         raise _overflow_error("the median heuristic's squared distances")
     if med <= 0.0:
         raise DegenerateBandwidthError(

@@ -15,7 +15,8 @@ index sets of the pooled test rows (N = n + m rows, support size k):
   relabelings are drawn into bounded chunks, and a chunk is scored with one
   gather per group;
 * gaussian: the pooled Gram matrix, built once, then one row gather per group
-  and its column sums, O(N^2) per relabeling, one relabeling at a time.
+  and its column sums, O(N^2) per relabeling; a chunk of relabelings is
+  scored with one row gather per group.
 
 All sums are numpy reductions, not BLAS products, so the statistics are
 bit-identical for any BLAS thread count.  A relabeling that reproduces the
@@ -83,25 +84,27 @@ class PermutationReport:
 
 
 # Entries one chunk of relabelings holds at most in its index array and in
-# each moment-feature gather (2 MiB of float64), so memory stays bounded for
-# any sample size and relabeling count.
+# each moment-feature or Gram-row gather (2 MiB of float64), so memory stays
+# bounded for any sample size and relabeling count; a chunk holds at least
+# one relabeling.
 _CHUNK_ENTRIES = 1 << 18
 
 
-def _gram_stats(G: np.ndarray, IX: np.ndarray, IY: np.ndarray) -> list:
-    """``_gram_stat`` for each row of the sorted index arrays."""
-    return [_gram_stat(G, ix, iy) for ix, iy in zip(IX, IY)]
-
-
-def _gram_stat(G: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> float:
-    """Squared MMD of the sample groups ``ix`` and ``iy`` from the pooled Gram
-    matrix, via one row gather per group.  The cross sum is taken from both
-    groups' rows and averaged, so swapping the groups gives the same value."""
-    n, m = len(ix), len(iy)
-    rx = G[ix].sum(axis=0)
-    ry = G[iy].sum(axis=0)
-    sxy = 0.5 * (float(rx[iy].sum()) + float(ry[ix].sum()))
-    return float(rx[ix].sum()) / (n * n) + float(ry[iy].sum()) / (m * m) - 2.0 * sxy / (n * m)
+def _gram_stats(G: np.ndarray, IX: np.ndarray, IY: np.ndarray) -> np.ndarray:
+    """Squared MMD of the sample groups ``IX[r]`` and ``IY[r]`` from the pooled
+    Gram matrix, for each row ``r`` of the sorted index arrays, from one row
+    gather per group: the column sums of each group's rows, then their sums
+    over each group.  The cross sum is taken from both groups' rows and
+    averaged, so swapping the groups gives the same value.  Every sum runs
+    along its own axis, so a row's value does not depend on the other rows."""
+    n, m = IX.shape[1], IY.shape[1]
+    RX = G[IX].sum(axis=1)
+    RY = G[IY].sum(axis=1)
+    sxx = np.take_along_axis(RX, IX, 1).sum(axis=1)
+    syy = np.take_along_axis(RY, IY, 1).sum(axis=1)
+    sxy = np.take_along_axis(RX, IY, 1).sum(axis=1) + np.take_along_axis(RY, IX, 1).sum(axis=1)
+    sxy *= 0.5
+    return sxx / (n * n) + syy / (m * m) - 2.0 * sxy / (n * m)
 
 
 def permutation_test(
@@ -164,11 +167,14 @@ def _shared_tests(
     pooled = np.vstack([test.X, test.Y])
     n_te, m_te = test.n, test.m
     N = n_te + m_te
+    # entries per relabeling and pooled row of the index array (1) and of
+    # each gather: a moment gather's feature count, a Gram gather's group size
     calibrations, scores, features = [], [], [1]
     for kernel, selection in selections:
         if kernel.family == GAUSSIAN:
             calibrations.append("gram")
             scores.append(partial(_gram_stats, gram(kernel, selection, pooled, pooled)))
+            features.append(max(n_te, m_te))
         else:
             F, w = moment_features(kernel, selection, pooled)
             calibrations.append("moments")

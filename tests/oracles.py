@@ -6,8 +6,8 @@ written out once more as a scalar, one-problem-at-a-time reference with
 scipy's ``brentq``, with which greedy selection scores every augmented
 support; subset selection comes from exhaustive enumeration,
 low-dimensional maxima from refined grid search, and permutation statistics
-from the three sub-blocks of the pooled Gram matrix and, for the moment
-statistics, one relabeling at a time.  The table
+from the three sub-blocks of the pooled Gram matrix and one relabeling at a
+time.  The table
 writer and the median heuristic are written out cell by cell and one
 temporary per operation, the forms the library's versions must match bit for
 bit.  The gaussian surrogate sums its pair terms one difference vector at a
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -256,20 +257,35 @@ def moment_stat(F: np.ndarray, w: np.ndarray, ix: np.ndarray, iy: np.ndarray) ->
     return float(np.sum(w * gap**2))
 
 
-def moment_permutation_stats(kernel, z, test, perm_root, n_permutations: int):
-    """Observed and relabeled linear or quadratic statistics of a held-out
-    split, one ``moment_stat`` call per relabeling on its sorted halves,
-    relabeling ``t`` being the permutation drawn from stream ``t`` of
-    ``perm_root``."""
+def gram_stat(G: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> float:
+    """One relabeling's squared MMD of the sample groups ``ix`` and ``iy``
+    from the pooled Gram matrix, via one row gather per group, the cross sum
+    averaged over both groups' rows: the one-row form that
+    ``permutation._gram_stats`` must equal bit for bit on each row."""
+    n, m = len(ix), len(iy)
+    rx = G[ix].sum(axis=0)
+    ry = G[iy].sum(axis=0)
+    sxy = 0.5 * (float(rx[iy].sum()) + float(ry[ix].sum()))
+    return float(rx[ix].sum()) / (n * n) + float(ry[iy].sum()) / (m * m) - 2.0 * sxy / (n * m)
+
+
+def looped_permutation_stats(kernel, z, test, perm_root, n_permutations: int):
+    """Observed and relabeled statistics of a held-out split, one
+    ``moment_stat`` (linear, quadratic) or ``gram_stat`` (gaussian) call per
+    relabeling on its sorted halves, relabeling ``t`` being the permutation
+    drawn from stream ``t`` of ``perm_root``."""
     pooled = np.vstack([test.X, test.Y])
-    F, w = mmd.moment_features(kernel, z, pooled)
+    if kernel.family == mmd.GAUSSIAN:
+        stat = partial(gram_stat, mmd.gram(kernel, z, pooled, pooled))
+    else:
+        stat = partial(moment_stat, *mmd.moment_features(kernel, z, pooled))
     n, N = test.n, len(pooled)
     base = np.arange(N)
     permuted = []
     for t in range(n_permutations):
         p = derive_stream(perm_root, t).generator().permutation(N)
-        permuted.append(moment_stat(F, w, np.sort(p[:n]), np.sort(p[n:])))
-    return moment_stat(F, w, base[:n], base[n:]), np.array(permuted)
+        permuted.append(stat(np.sort(p[:n]), np.sort(p[n:])))
+    return stat(base[:n], base[n:]), np.array(permuted)
 
 
 def save_matrix_reference(path: str, M: np.ndarray, header: list[str] | None = None) -> None:

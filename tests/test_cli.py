@@ -9,9 +9,12 @@ import numpy as np
 import pytest
 
 import mmdselect
+from mmdselect import cli
 from mmdselect.bench import blas_threads
 from mmdselect.cli import dispatch
-from mmdselect.core import load_two_sample
+from mmdselect.core import RandomSource, load_two_sample
+from mmdselect.mmd import resolve_kernel
+from mmdselect.selectors import Selector, kernel_for_solver
 
 
 @pytest.fixture
@@ -166,6 +169,43 @@ def test_test_reports_calibration(csv_pair, tmp_path):
     assert doc["diagnostics"] == {"method": "quad-greedy", "calibration": "moments"}
     assert set(stage_s) == {"load", "split_select", "calibration"}
     assert all(type(v) is float and math.isfinite(v) and v >= 0.0 for v in stage_s.values())
+
+
+@pytest.mark.parametrize("solver", ["linear", "quad-greedy", "gauss-ccp"])
+def test_select_reports_stage_times(solver, csv_pair, tmp_path):
+    px, py = csv_pair
+    code, doc = run(
+        ["select", "--solver", solver, "--d", "2", "--x", px, "--y", py, "--seed", "7"], tmp_path
+    )
+    assert code == 0
+    stage_s = doc["diagnostics"].pop("stage_s")
+    assert set(stage_s) == {"load", "bandwidth", "select"}
+    assert all(type(v) is float and math.isfinite(v) and v >= 0.0 for v in stage_s.values())
+    # the other diagnostics are the selector's own
+    data = load_two_sample(px, py)
+    kernel = resolve_kernel(kernel_for_solver(solver), data, 2)
+    _, diag = Selector(solver, 2).select_with_diagnostics(data, kernel, RandomSource(7))
+    diag.pop("trajectory", None)
+    assert doc["diagnostics"] == json.loads(json.dumps(diag))
+
+
+def test_dispatch_builds_the_parser_once(csv_pair, tmp_path, monkeypatch):
+    px, py = csv_pair
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        args = ["test", "--solver", "linear", "--d", "1", "--x", px, "--y", py, "--np", "19"]
+        code1, corrected = run(args + ["--corrected-pvalue"], tmp_path, "a.json")
+        code2, plain = run(args, tmp_path, "b.json")
+    finally:
+        cli._parser.cache_clear()
+    assert code1 == code2 == 0
+    assert len(built) == 1
+    # a flag of the first call does not leak into the second
+    assert corrected["config"]["corrected"] is True and corrected["test"]["corrected"] is True
+    assert plain["config"]["corrected"] is False and plain["test"]["corrected"] is False
 
 
 def test_test_corrected_flag(csv_pair, tmp_path):

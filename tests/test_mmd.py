@@ -2,8 +2,10 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 
 import mmdselect
-from mmdselect.core import SelectionVector, TwoSampleData, make_selection
+from mmdselect import mmd
+from mmdselect.core import SelectionVector, TwoSampleData, _one_blas_thread, make_selection
 from mmdselect.gauss import gauss_objective
 from mmdselect.mmd import gram as mmd_gram
 from mmdselect.mmd import (
@@ -230,6 +233,159 @@ def test_median_heuristic_overflow_raises_without_warnings(X, Y):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^float64 overflow in the median heuristic's squared"):
             median_heuristic(TwoSampleData(X, Y))
+
+
+# Lowered block sizes, so that groups of a hundred or two rows span several
+# blocks (a block holds at least two 24-row panels).
+SMALL_BLOCKS = [1, 7, 64]
+
+
+def _block_count(n, m):
+    rows = mmd._median_rows(n, m)
+    return max(1, n // rows)
+
+
+@st.composite
+def _blocked_groups(draw):
+    # n x dim against m x dim, each group at its own scale, sometimes with
+    # integer cells that tie many distances
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # mostly shapes of several blocks (48-row blocks from m = 51), and wide
+    # ones, where a misaligned block meets another dgemm kernel
+    n = draw(st.integers(1, 240) | st.integers(144, 240))
+    m = draw(st.integers(1, 64) | st.integers(51, 64) | st.integers(300, 600))
+    dim = draw(st.integers(1, 8) | st.integers(24, 64))
+    scale_x, scale_y = (draw(st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8])) for _ in range(2))
+    if draw(st.booleans()):
+        X = gen.integers(-2, 3, (n, dim)) * scale_x
+        Y = gen.integers(-2, 4, (m, dim)) * scale_y
+    else:
+        X = gen.standard_normal((n, dim)) * scale_x
+        Y = (gen.standard_normal((m, dim)) + draw(st.floats(-2.0, 2.0))) * scale_y
+    return X, Y
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(groups=_blocked_groups(), block=st.sampled_from(SMALL_BLOCKS))
+def test_blocked_median_heuristic_matches_the_reference_bit_for_bit(groups, block):
+    X, Y = groups
+    want = median_heuristic_reference(X, Y)
+    with mock.patch.object(mmd, "_MEDIAN_BLOCK", block):
+        # the blocks hold the full product's distances, bit for bit
+        sx, sy = np.sum(X**2, axis=1), np.sum(Y**2, axis=1)
+        d = np.empty((len(X), len(Y)))
+        with _one_blas_thread():
+            for _ in mmd._distance_blocks(2.0 * X, Y, sx, sy, mmd._median_rows(*d.shape), False, d):
+                pass
+            full = sx[:, None] + sy[None, :] - 2.0 * X @ Y.T
+        assert d.tobytes() == full.tobytes()
+        if want <= 0.0:
+            with pytest.raises(DegenerateBandwidthError):
+                median_heuristic(TwoSampleData(X, Y))
+        else:
+            got = median_heuristic(TwoSampleData(X, Y))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+@pytest.mark.parametrize(
+    "n, m, dim", [(200, 60, 5), (241, 59, 5), (150, 50, 5), (197, 523, 60)]
+)  # even, odd, two blocks, wide
+def test_blocked_median_spans_blocks_and_matches_the_reference(block, n, m, dim):
+    gen = np.random.default_rng(n + m + block)
+    X, Y = gen.standard_normal((n, dim)), 1e3 * gen.standard_normal((m, dim))
+    with mock.patch.object(mmd, "_MEDIAN_BLOCK", block):
+        assert _block_count(n, m) >= 2
+        got = median_heuristic(TwoSampleData(X, Y))
+    assert np.float64(got).tobytes() == np.float64(median_heuristic_reference(X, Y)).tobytes()
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The keyword arguments of each pass over the distance blocks."""
+    seen = []
+    blocks = mmd._distance_blocks
+    monkeypatch.setattr(mmd, "_distance_blocks", lambda *a, **k: seen.append(k) or blocks(*a, **k))
+    return seen
+
+
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_a_missed_bracket_still_gives_the_reference_bits(side, monkeypatch, passes):
+    # a bracket wholly above (or below) the median: the counts show the miss,
+    # and a second pass that keeps every distance finds the median
+    gen = np.random.default_rng(8)
+    X, Y = gen.standard_normal((300, 4)), gen.standard_normal((90, 4)) + 0.5
+    want = median_heuristic_reference(X, Y)
+    bracket = (2.0 * want, 3.0 * want) if side == "above" else (0.1 * want, 0.5 * want)
+    monkeypatch.setattr(mmd, "_MEDIAN_BLOCK", 64)
+    monkeypatch.setattr(mmd, "_median_bracket", lambda *args: bracket)
+    got = median_heuristic(TwoSampleData(X, Y))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert len(passes) == 2
+
+
+def test_the_sampled_bracket_holds_the_median_on_mismatched_scales(monkeypatch, passes):
+    # the entries of one row share sx_i, so the pairs are drawn independently
+    # over the whole matrix; each of these medians takes one pass
+    gen = np.random.default_rng(3)
+    monkeypatch.setattr(mmd, "_MEDIAN_BLOCK", 64)
+    for scale_x, scale_y in [(1.0, 1.0), (1e3, 1.0), (1.0, 1e-3), (1e-3, 1e3)]:
+        X = scale_x * gen.standard_normal((400, 6)) * gen.random(6)
+        Y = scale_y * (gen.standard_normal((300, 6)) + 1.0)
+        got = median_heuristic(TwoSampleData(X, Y))
+        assert np.float64(got).tobytes() == np.float64(median_heuristic_reference(X, Y)).tobytes()
+    assert passes == [{}] * 4
+
+
+def test_a_nan_distance_in_the_last_block_raises(monkeypatch):
+    # only the last row meets the one huge column of Y: inf - inf there
+    gen = np.random.default_rng(9)
+    X, Y = gen.standard_normal((200, 3)), gen.standard_normal((60, 3))
+    X[-1, 0], Y[7, 0] = 1e160, 1e160
+    monkeypatch.setattr(mmd, "_MEDIAN_BLOCK", 7)
+    assert _block_count(200, 60) >= 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^float64 overflow in the median heuristic's squared"):
+            median_heuristic(TwoSampleData(X, Y))
+
+
+def test_a_row_of_infinite_distances_keeps_the_finite_median(monkeypatch):
+    # sx overflows for one row, but its products stay finite: inf, not NaN
+    gen = np.random.default_rng(10)
+    X, Y = gen.standard_normal((200, 3)), gen.standard_normal((60, 3))
+    X[150, 0] = 1e160
+    monkeypatch.setattr(mmd, "_MEDIAN_BLOCK", 7)
+    with np.errstate(over="ignore"):
+        want = median_heuristic_reference(X, Y)
+    assert math.isfinite(want)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = median_heuristic(TwoSampleData(X, Y))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_a_zero_blocked_median_raises(monkeypatch):
+    # most rows coincide across the groups, so most distances are zero
+    X, Y = np.zeros((200, 2)), np.zeros((60, 2))
+    X[:20] = 1.0
+    monkeypatch.setattr(mmd, "_MEDIAN_BLOCK", 1)
+    assert _block_count(200, 60) >= 2
+    with pytest.raises(DegenerateBandwidthError):
+        median_heuristic(TwoSampleData(X, Y))
+
+
+def test_median_heuristic_memory_is_bounded():
+    # the whole 2000 x 2000 matrix and its cross product took 62 MB
+    gen = np.random.default_rng(11)
+    data = TwoSampleData(gen.standard_normal((2000, 60)), gen.standard_normal((2000, 60)) + 0.2)
+    tracemalloc.start()
+    try:
+        median_heuristic(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 _THREADS_SCRIPT = """

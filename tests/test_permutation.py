@@ -15,7 +15,8 @@ from oracles import (
     gram,
     gram_block_stat,
     gram_permutation_stats,
-    moment_permutation_stats,
+    gram_stat,
+    looped_permutation_stats,
     moment_stat,
 )
 
@@ -407,13 +408,13 @@ weights = st.one_of(st.just(0.0), st.floats(0.1, 3.0), st.floats(-3.0, -0.1))
     n=st.integers(4, 9),
     m=st.integers(4, 9),
     dim=st.integers(1, 3),
-    quadratic=st.booleans(),
+    family=st.sampled_from(["linear", "quadratic", "gaussian"]),
     n_p=st.integers(1, 30),
     per_chunk=st.integers(1, 7),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_chunked_relabelings_equal_one_at_a_time(n, m, dim, quadratic, n_p, per_chunk, seed, data):
+def test_chunked_relabelings_equal_one_at_a_time(n, m, dim, family, n_p, per_chunk, seed, data):
     # the held-out halves have 2-4 rows a group, n != m in general, and the
     # chunk length rarely divides the relabeling count
     X = data.draw(hnp.arrays(np.float64, (n, dim), elements=tie_floats))
@@ -421,23 +422,31 @@ def test_chunked_relabelings_equal_one_at_a_time(n, m, dim, quadratic, n_p, per_
     z = data.draw(hnp.arrays(np.float64, dim, elements=weights))
     if not z.any():
         z[0] = 1.0
-    kernel = KernelSpec.quadratic(0.7) if quadratic else KernelSpec.linear()
+    kernel = KernelSpec(family, None if family == "linear" else 0.7)
     rng = RandomSource(seed)
     _, test = split_train_test(TwoSampleData(X, Y), 0.5, derive_stream(rng, 0))
     N = test.n + test.m
-    F, w = moment_features(kernel, z, np.vstack([test.X, test.Y]))
+    pooled = np.vstack([test.X, test.Y])
     # the scores of one chunk equal the one-relabeling form row by row
     P = np.array([np.random.default_rng(seed + r).permutation(N) for r in range(n_p)])
     IX, IY = np.sort(P[:, : test.n], axis=1), np.sort(P[:, test.n :], axis=1)
-    got = moment_mmd_sq(F, w, IX, IY)
-    want = [moment_stat(F, w, ix, iy) for ix, iy in zip(IX, IY)]
+    if family == "gaussian":
+        G = gram(kernel, z, pooled, pooled)
+        got = permutation._gram_stats(G, IX, IY)
+        want = [gram_stat(G, ix, iy) for ix, iy in zip(IX, IY)]
+        per_row = max(test.n, test.m)  # rows of G one group gathers
+    else:
+        F, w = moment_features(kernel, z, pooled)
+        got = moment_mmd_sq(F, w, IX, IY)
+        want = [moment_stat(F, w, ix, iy) for ix, iy in zip(IX, IY)]
+        per_row = F.shape[0]
     assert got.tobytes() == np.array(want).tobytes()
     # and the test's relabelings, chunked by a lowered cap, equal the loop
-    with mock.patch.object(permutation, "_CHUNK_ENTRIES", per_chunk * N * F.shape[0]):
+    with mock.patch.object(permutation, "_CHUNK_ENTRIES", per_chunk * N * per_row):
         rep = permutation_test(
             TwoSampleData(X, Y), kernel, FixedSelector(z), n_p, 0.05, 0.5, rng
         )
-    stat, permuted = moment_permutation_stats(
+    stat, permuted = looped_permutation_stats(
         kernel, rep.selection, test, derive_stream(rng, PERM_STREAM), n_p
     )
     assert rep.statistic == stat
@@ -470,3 +479,23 @@ def test_relabeling_chunks_stay_under_the_entry_cap(kernel, monkeypatch):
     assert chunks[0][0] == 1 and sum(rows for rows, _ in chunks[1:]) == 23
     assert len(chunks) >= 3
     assert all(rows * 55 * features <= 1000 for rows, features in chunks)
+
+
+@pytest.mark.parametrize("cap, per_chunk", [(1000, 1), (55 * 30 * 4, 4), (1 << 18, 23)])
+def test_gram_chunks_hold_the_cap_or_one_relabeling(cap, per_chunk, monkeypatch):
+    # 30 + 25 held-out rows: a chunk of P relabelings gathers P x 30 x 55
+    # Gram entries for its larger group
+    gen = np.random.default_rng(5)
+    data = iid_data(gen, 60, 50, 4, shift=0.2)
+    sel = FixedSelector([0.6, -0.8, 0.0, 0.4])
+    kernel = KernelSpec.gaussian(1.0)
+    whole = permutation_test(data, kernel, sel, 23, 0.05, 0.5, RandomSource(2))
+    chunks = []
+    grams = permutation._gram_stats
+    monkeypatch.setattr(
+        permutation, "_gram_stats", lambda G, IX, IY: chunks.append(len(IX)) or grams(G, IX, IY)
+    )
+    monkeypatch.setattr(permutation, "_CHUNK_ENTRIES", cap)
+    capped = permutation_test(data, kernel, sel, 23, 0.05, 0.5, RandomSource(2))
+    assert capped.permuted.tobytes() == whole.permuted.tobytes()
+    assert chunks[0] == 1 and max(chunks[1:]) == per_chunk and sum(chunks[1:]) == 23
