@@ -20,7 +20,6 @@ from .mmd import (
     DegenerateBandwidthError,
     KernelSpec,
     concentration_epsilon,
-    kernel_eval,
     median_heuristic,
     mmd_sq,
 )
@@ -33,14 +32,12 @@ from .quad import (
     exact_select_bnb,
     greedy_select,
     local_search,
-    relax_select,
 )
-from .spectrahedron import SpectraPoint, bregman, mirror_step, smd_run
+from .spectrahedron import SpectraPoint, smd_run
 from .gauss import (
     GaussConfig,
     ccp_select,
     extract_selection,
-    gauss_objective,
     lambda_grid_select,
 )
 from .permutation import PermutationReport, permutation_test

@@ -79,23 +79,6 @@ def _as_vector(z) -> np.ndarray:
     return np.asarray(z, dtype=np.float64)
 
 
-def kernel_eval(spec: KernelSpec, z, x: np.ndarray, y: np.ndarray) -> float:
-    """Evaluate K_z(x, y) for a single pair of sample vectors."""
-    zv = _as_vector(z)
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != zv.shape or y.shape != zv.shape:
-        raise ValueError("dimension mismatch between z, x and y")
-    if spec.family == LINEAR:
-        return float(np.sum(zv * x * y))
-    if spec.family == QUADRATIC:
-        c = spec.require_bandwidth()
-        return float((np.sum(zv * x * y) + c) ** 2)
-    gamma = spec.require_bandwidth()
-    s = float(np.sum(zv * (x - y)))
-    return math.exp(-(s * s) / (2.0 * gamma))
-
-
 def gram(spec: KernelSpec, z, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Gaussian kernel matrix ``[K_z(u_i, v_j)]`` over two sample blocks.
 

@@ -2,10 +2,11 @@
 
 Assembles the quadratic-kernel selection problem ``max { z'Az + t'z :
 ||z||=1, ||z||_0 <= d }`` from data, then solves it with a ladder of methods:
-greedy forward selection, swap-based local search, an exact depth-first
+greedy forward selection, swap-based local search, and an exact depth-first
 branch-and-bound whose node bound is the sphere oracle on the union of forced
-and candidate features, and an approximation algorithm that reports greedy +
-local search under a certified closed-form upper bound on the exact optimum.
+and candidate features.  A certified closed-form upper bound on the exact
+optimum turns greedy + local search into an approximation algorithm: the
+``quad-relax`` solver reports its solution under that bound.
 
 The matrix is stored PSD-shifted (``A - lambda_min(A) I`` when needed) and all
 reported objective values are translated back to the unshifted problem.
@@ -13,19 +14,18 @@ reported objective values are translated back to the unshifted problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import SelectionVector, TwoSampleData, make_selection
-from .core import _check_symmetric, _overflow_error
+from .core import _check_symmetric, _one_blas_thread, _overflow_error
 from .core import _freeze as _freeze_input
 from .trs import _TOL, TrsSolution, _embedded, _sphere_argmax, lambda_set, trs_max
 
 GREEDY = "greedy"
 LOCAL = "local"
 EXACT = "exact"
-RELAX = "relax"
 
 
 @dataclass(frozen=True)
@@ -61,13 +61,25 @@ class QuadProblem:
 
     @classmethod
     def from_matrices(cls, A: np.ndarray, t: np.ndarray) -> "QuadProblem":
-        """Record ``lambda_min`` and shift the matrix to PSD when needed."""
-        A = 0.5 * (np.asarray(A, dtype=np.float64) + np.asarray(A, dtype=np.float64).T)
-        lmin = float(np.linalg.eigvalsh(A)[0])
-        shift = min(lmin, 0.0)
+        """Record ``lambda_min`` and shift the matrix to PSD when needed.
+
+        The symmetrized matrix minus its own ``lambda_min`` is symmetric and
+        PSD by construction, so the result skips the constructor's checks and
+        ``A`` is decomposed once."""
+        A = np.asarray(A, dtype=np.float64)
+        t = _freeze_input(t)
+        if A.ndim != 2 or A.shape != (t.shape[0], t.shape[0]):
+            raise ValueError("A and t dimensions disagree")
+        A = 0.5 * (A + A.T)
+        shift = min(float(np.linalg.eigvalsh(A)[0]), 0.0)
         if shift < 0.0:
             A = A - shift * np.eye(A.shape[0])
-        return cls(A, np.asarray(t, dtype=np.float64), shift=shift)
+        A = np.ascontiguousarray(A)
+        A.flags.writeable = False
+        qp = object.__new__(cls)
+        for name, value in (("A", A), ("t", t), ("shift", shift)):
+            object.__setattr__(qp, name, value)
+        return qp
 
     def report_value(self, stored_value: float) -> float:
         return stored_value + self.shift
@@ -81,7 +93,9 @@ def assemble_quadratic(data: TwoSampleData, c: float) -> QuadProblem:
     """
     if not c > 0:
         raise ValueError("quadratic bandwidth c must be positive")
-    with np.errstate(over="ignore", invalid="ignore"):
+    # one thread: the products' summation order, hence their bits, would
+    # otherwise follow the caller's thread count
+    with np.errstate(over="ignore", invalid="ignore"), _one_blas_thread():
         Gx = data.X.T @ data.X / data.n
         Gy = data.Y.T @ data.Y / data.m
         A = (Gx - Gy) ** 2
@@ -101,7 +115,6 @@ class QuadSolveReport:
     method: str
     upper_bound: float | None = None
     node_count: int | None = None
-    bound_certified: bool | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "support", tuple(int(i) for i in self.support))
@@ -146,25 +159,23 @@ def local_search(qp: QuadProblem, d: int, init) -> QuadSolveReport:
     S = sorted(int(i) for i in init)
     if len(S) != min(d, D) or len(set(S)) != len(S):
         raise ValueError("init must be a duplicate-free support of size min(d, D)")
-    val = lambda_set(S, qp.A, qp.t).value
+    sol = lambda_set(S, qp.A, qp.t)
     for _ in range(100):
         improved = False
         for i in list(S):
             for j in range(D):
                 if j in S:
                     continue
-                cand = sorted(x for x in S if x != i) + [j]
-                cand.sort()
-                v = lambda_set(cand, qp.A, qp.t).value
-                if v > val + _TOL:
-                    S, val = cand, v
+                cand = sorted([*(x for x in S if x != i), j])
+                lane = lambda_set(cand, qp.A, qp.t)
+                if lane.value > sol.value + _TOL:
+                    S, sol = cand, lane
                     improved = True
                     break
             if improved:
                 break
         if not improved:
             break
-    sol = lambda_set(S, qp.A, qp.t)
     return _report(qp, d, sol, LOCAL)
 
 
@@ -237,35 +248,16 @@ def _pad_support(support, d: int, D: int) -> list[int]:
 
 
 def _certified_upper_bound(qp: QuadProblem, d: int) -> float:
-    """Upper bound on the exact optimum (stored-matrix units), valid by weak
-    duality for the relaxation with diagonal/row linking constraints:
+    """Upper bound on the exact optimum (stored-matrix units), the smaller of
 
     * the full-sphere value (support constraint dropped),
-    * ``||t|| + d * max_k A_kk``   (entrywise bound through the row caps),
-    * ``||t|| + lambda_max(A)``    (trace bound on the lower-right block).
+    * ``||t|| + d * max_k A_kk``   (entrywise bound through the row caps).
 
-    Each term dominates the relaxation optimum, hence the exact optimum; the
-    last two also sit below the theoretical approximation-ratio envelope.
+    Each dominates the exact optimum.  ``||t|| + lambda_max(A)`` is implied:
+    a unit ``z`` has ``z'Az + t'z <= lambda_max(A) + ||t||``, so it could win
+    over the full-sphere value only by rounding.
     """
     A, t = qp.A, qp.t
     b1 = trs_max(A, t).value
-    tn = float(np.linalg.norm(t))
-    b2 = tn + d * float(np.max(np.diag(A)))
-    b3 = tn + float(np.linalg.eigvalsh(A)[-1])
-    return min(b1, b2, b3)
-
-
-
-
-def relax_select(qp: QuadProblem, d: int) -> QuadSolveReport:
-    """Approximation algorithm with a certified bound: the support, selection
-    and value of greedy refined by local search (``_greedy_local``), reported
-    with the closed-form upper bound on the exact optimum
-    (``_certified_upper_bound``), so that ``value <= exact <= upper_bound``."""
-    report = _greedy_local(qp, d)
-    return replace(
-        report,
-        method=RELAX,
-        upper_bound=qp.report_value(_certified_upper_bound(qp, d)),
-        bound_certified=True,
-    )
+    b2 = float(np.linalg.norm(t)) + d * float(np.max(np.diag(A)))
+    return min(b1, b2)

@@ -13,7 +13,13 @@ from .core import RandomSource, SelectionVector, TwoSampleData, derive_stream, s
 from .gauss import GaussConfig, ccp_select, lambda_grid_select
 from .linear import linear_coefficients, linear_select
 from .mmd import GAUSSIAN, LINEAR, QUADRATIC, KernelSpec
-from .quad import _greedy_local, assemble_quadratic, exact_select_bnb, greedy_select, relax_select
+from .quad import (
+    _certified_upper_bound,
+    _greedy_local,
+    assemble_quadratic,
+    exact_select_bnb,
+    greedy_select,
+)
 
 SOLVER_FAMILIES = {
     "linear": LINEAR,
@@ -101,16 +107,17 @@ class Selector:
         qp = assemble_quadratic(train, kernel.require_bandwidth())
         if self.name == "quad-greedy":
             report = greedy_select(qp, d)
-        elif self.name == "quad-local":
-            report = _greedy_local(qp, d)
         elif self.name == "quad-exact":
             report = exact_select_bnb(qp, d)
         else:
-            report = relax_select(qp, d)
+            report = _greedy_local(qp, d)
+        if self.name == "quad-relax":
+            # the approximation algorithm: value <= exact optimum <= upper_bound
+            bound = qp.report_value(_certified_upper_bound(qp, d))
+            report = replace(report, method="relax", upper_bound=bound)
         diag = {"method": report.method, "value": report.value}
         if report.upper_bound is not None:
             diag["upper_bound"] = report.upper_bound
-            diag["bound_certified"] = report.bound_certified
         if report.node_count is not None:
             diag["node_count"] = report.node_count
         return report.z, diag

@@ -163,20 +163,6 @@ def _mirror_step(p: SpectraPoint, G: np.ndarray, step: float) -> SpectraPoint:
     return SpectraPoint._built(Y * c, p.tau, (e * c, U2))
 
 
-def bregman(p1: SpectraPoint, p2: SpectraPoint) -> float:
-    """Von Neumann divergence ``tr(X log X - X log Y)`` for equal-trace points."""
-    if p1.dim != p2.dim:
-        raise ValueError("dimension mismatch")
-    if abs(p1.tau - p2.tau) > 1e-12 * max(1.0, p1.tau):
-        raise ValueError("trace targets must agree")
-    w1, _ = p1.eigenpairs()
-    w1f = np.maximum(w1, _LOG_FLOOR * p1.tau)
-    term1 = float(np.sum(w1f * np.log(w1f)))
-    w2, U2 = p2.eigenpairs()
-    logY = (U2 * np.log(np.maximum(w2, _LOG_FLOOR * p2.tau))) @ U2.T
-    return term1 - float(np.sum(p1.Z * logY))
-
-
 def entropy_radius(k: int, tau: float = 1.0) -> float:
     """Upper bound on the divergence from the scaled identity to any feasible
     point; the usual start ``Z = tau I / k`` gives at most ``tau log k``."""

@@ -11,8 +11,9 @@ time.  The table
 writer and the median heuristic are written out cell by cell and one
 temporary per operation, the forms the library's versions must match bit for
 bit.  The gaussian surrogate sums its pair terms one difference vector at a
-time.  The baseline selectors (a fixed support, a random one) and the
-gradient wrapper are what the tests drive the library with.  The
+time.  The single-pair kernel and the von Neumann divergence are the
+textbook formulas.  The baseline selectors (a fixed support, a random one)
+and the gradient wrapper are what the tests drive the library with.  The
 approximation-ratio envelope is the sandwich a certified relaxation bound
 must sit in.
 """
@@ -20,13 +21,14 @@ must sit in.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from mmdselect import mmd
+from mmdselect import mmd, spectrahedron
 from mmdselect.core import _one_blas_thread, derive_stream, make_selection
 from mmdselect.gauss import GaussianPairTerms
 
@@ -319,6 +321,38 @@ def gram(spec, z, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     if spec.family == mmd.LINEAR:
         return inner
     return (inner + spec.require_bandwidth()) ** 2
+
+
+def kernel_eval(spec, z, x: np.ndarray, y: np.ndarray) -> float:
+    """``K_z(x, y)`` for a single pair of sample vectors, from the formulas
+    in ``mmd``'s docstring."""
+    zv = np.asarray(getattr(z, "z", z), dtype=np.float64)  # a SelectionVector or an array
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != zv.shape or y.shape != zv.shape:
+        raise ValueError("dimension mismatch between z, x and y")
+    if spec.family == mmd.LINEAR:
+        return float(np.sum(zv * x * y))
+    if spec.family == mmd.QUADRATIC:
+        return float((np.sum(zv * x * y) + spec.require_bandwidth()) ** 2)
+    s = float(np.sum(zv * (x - y)))
+    return math.exp(-(s * s) / (2.0 * spec.require_bandwidth()))
+
+
+def bregman(p1, p2) -> float:
+    """Von Neumann divergence ``tr(X log X - X log Y)`` of two equal-trace
+    ``SpectraPoint``s, with eigenvalues floored as the mirror step floors
+    them before taking logs."""
+    if p1.dim != p2.dim:
+        raise ValueError("dimension mismatch")
+    if abs(p1.tau - p2.tau) > 1e-12 * max(1.0, p1.tau):
+        raise ValueError("trace targets must agree")
+    w1, _ = p1.eigenpairs()
+    w1f = np.maximum(w1, spectrahedron._LOG_FLOOR * p1.tau)
+    term1 = float(np.sum(w1f * np.log(w1f)))
+    w2, U2 = p2.eigenpairs()
+    logY = (U2 * np.log(np.maximum(w2, spectrahedron._LOG_FLOOR * p2.tau))) @ U2.T
+    return term1 - float(np.sum(p1.Z * logY))
 
 
 def _pair_exponents(U: np.ndarray, V: np.ndarray, Z: np.ndarray, gamma: float) -> np.ndarray:

@@ -22,15 +22,14 @@ from mmdselect.linear import LinearCoefficients, linear_coefficients, linear_sel
 from mmdselect.mmd import ConcentrationInputs, KernelSpec, concentration_epsilon, median_heuristic, mmd_sq
 from mmdselect.quad import (
     QuadProblem,
+    _certified_upper_bound,
     exact_select_bnb,
     greedy_select,
     local_search,
-    relax_select,
 )
 from mmdselect.selectors import Selector
 from mmdselect.spectrahedron import (
     SpectraPoint,
-    bregman,
     entropy_radius,
     mirror_step,
     prop1_step_rule,
@@ -40,6 +39,7 @@ from mmdselect.trs import trs_max
 
 from oracles import (
     approximation_gap,
+    bregman,
     brute_force_linear,
     brute_force_quad,
     central_difference_gradient,
@@ -145,7 +145,6 @@ def test_criterion_03_trs_certificates():
 
 def test_criterion_04_relaxation_sandwich():
     gen = np.random.default_rng(2024)
-    certified = 0
     passed = 0
     total = 100
     for _ in range(total):
@@ -153,14 +152,11 @@ def test_criterion_04_relaxation_sandwich():
         d = int(gen.integers(1, min(4, D) + 1))
         qp = psd_instance(gen, D)
         e = exact_select_bnb(qp, d)
-        rep = relax_select(qp, d)
-        if rep.bound_certified:
-            certified += 1
-            check = approximation_gap(rep.upper_bound, e.value, qp.t, D, d)
-            passed += check.passed
-    ok = certified >= 0.9 * total and passed == certified
+        bound = qp.report_value(_certified_upper_bound(qp, d))
+        passed += approximation_gap(bound, e.value, qp.t, D, d).passed
+    ok = passed == total
     report(4, "certified relax bound inside the approximation-ratio envelope",
-           ok, f"certified={certified}/{total} passed={passed}")
+           ok, f"passed={passed}/{total}")
 
 
 def test_criterion_05_linear_closed_form():

@@ -16,11 +16,11 @@ PUBLIC_NAMES = [
     "GaussConfig", "KernelSpec", "LinearCoefficients", "PermutationReport", "QuadProblem",
     "QuadSolveReport", "RandomSource", "SelectionMetrics",
     "SelectionVector", "Selector", "SpectraPoint", "SynthSpec", "TrsSolution", "TwoSampleData",
-    "assemble_quadratic", "bregman", "ccp_select", "concentration_epsilon",
-    "derive_stream", "exact_select_bnb", "extract_selection", "fdp_ndp", "gauss_objective",
-    "greedy_select", "kernel_eval", "lambda_grid_select", "lambda_set", "linear_coefficients",
-    "linear_select", "load_two_sample", "local_search", "median_heuristic", "mirror_step",
-    "mmd_sq", "permutation_test", "relax_select",
+    "assemble_quadratic", "ccp_select", "concentration_epsilon",
+    "derive_stream", "exact_select_bnb", "extract_selection", "fdp_ndp",
+    "greedy_select", "lambda_grid_select", "lambda_set", "linear_coefficients",
+    "linear_select", "load_two_sample", "local_search", "median_heuristic",
+    "mmd_sq", "permutation_test",
     "run_power_experiment", "run_recovery_experiment", "save_two_sample", "smd_run",
     "split_train_test", "synth_block_gaussian", "trs_max", "wishart_sample",
 ]

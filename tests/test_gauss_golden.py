@@ -6,8 +6,8 @@ The step that carries the iterate's eigenpairs must reproduce it: identical
 supports, ``no_signal`` flags and rejection vectors; objectives, gap
 estimates and values within 1e-9 relative.
 
-The relax cases pin the quadratic relaxation's reported support and value,
-which are greedy + local search's, and its certified closed-form bound.
+The relax cases pin what ``Selector("quad-relax")`` reports: greedy + local
+search's support and value, and the certified closed-form bound.
 
 Regenerate with ``PYTHONPATH=src python tests/test_gauss_golden.py [KIND...]``
 (only when a change is meant to move these numbers); naming kinds (``ccp``,
@@ -28,7 +28,6 @@ from mmdselect.bench import ExperimentConfig, SynthSpec, run_power_experiment, s
 from mmdselect.core import RandomSource
 from mmdselect.gauss import GaussConfig, ccp_select
 from mmdselect.mmd import KernelSpec, resolve_kernel
-from mmdselect.quad import assemble_quadratic, relax_select
 from mmdselect.selectors import Selector
 
 GOLDEN_PATH = Path(__file__).parent / "golden_gauss.json"
@@ -78,11 +77,13 @@ def run_golden_case(case):
             "gaps": [p.gap_estimate for p in diag["trajectory"]],
         }
     kernel = resolve_kernel(KernelSpec("quadratic"), data, 3)
-    report = relax_select(assemble_quadratic(data, kernel.require_bandwidth()), 3)
+    selection, diag = Selector("quad-relax", 3).select_with_diagnostics(
+        data, kernel, RandomSource(seed)
+    )
     return {
-        "support": [int(i) for i in report.support],
-        "value": float(report.value),
-        "upper_bound": float(report.upper_bound),
+        "support": [int(i) for i in selection.support],
+        "value": float(diag["value"]),
+        "upper_bound": float(diag["upper_bound"]),
     }
 
 
@@ -131,7 +132,7 @@ from mmdselect.bench import SynthSpec, synth_block_gaussian
 from mmdselect.core import RandomSource
 from mmdselect.gauss import GaussConfig, ccp_select
 from mmdselect.mmd import KernelSpec, resolve_kernel
-from mmdselect.quad import assemble_quadratic, relax_select
+from mmdselect.selectors import Selector
 
 def sha(*arrays):
     return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
@@ -146,16 +147,16 @@ for p in res.trajectory:
 data, _ = synth_block_gaussian(
     SynthSpec(blocks=30, n=100, m=100, mode="cov_shift", seed=RandomSource(1))
 )
-qp = assemble_quadratic(data, resolve_kernel(KernelSpec("quadratic"), data, 3).require_bandwidth())
-rep = relax_select(qp, 3)
-print("relax", rep.support, rep.value.hex(), rep.upper_bound.hex(), sha(rep.z.z))
+kernel = resolve_kernel(KernelSpec("quadratic"), data, 3)
+sel, diag = Selector("quad-relax", 3).select_with_diagnostics(data, kernel, RandomSource(1))
+print("relax", sel.support, diag["value"].hex(), diag["upper_bound"].hex(), sha(sel.z))
 """
 
 
 def test_mirror_descent_bit_identical_across_blas_thread_counts():
     # at these sizes ccp gave thread-dependent bits before it ran at one
-    # OpenBLAS thread; the relaxation (greedy + local search and its
-    # closed-form bound) runs at the caller's thread count
+    # OpenBLAS thread; the relaxation's assembly runs at one thread, its
+    # greedy + local search and closed-form bound at the caller's count
     src = str(Path(mmdselect.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):

@@ -23,12 +23,11 @@ from mmdselect.mmd import (
     DegenerateBandwidthError,
     KernelSpec,
     concentration_epsilon,
-    kernel_eval,
     median_heuristic,
     mmd_sq,
 )
 
-from oracles import gram, median_heuristic_reference
+from oracles import gram, kernel_eval, median_heuristic_reference
 
 LIN = KernelSpec.linear()
 
@@ -391,17 +390,24 @@ def test_median_heuristic_memory_is_bounded():
 _THREADS_SCRIPT = """
 import hashlib
 from mmdselect.bench import SynthSpec, synth_block_gaussian
-from mmdselect.core import RandomSource
+from mmdselect.core import RandomSource, derive_stream, split_train_test
 from mmdselect.mmd import median_heuristic
 from mmdselect.quad import assemble_quadratic
+
+def digest(qp):
+    return hashlib.sha256(qp.A.tobytes() + qp.t.tobytes()).hexdigest()
 
 for seed in range(4):
     data, _ = synth_block_gaussian(
         SynthSpec(blocks=20, n=100, m=100, mode="shift", seed=RandomSource(seed))
     )
-    qp = assemble_quadratic(data, 1.0)
-    digest = hashlib.sha256(qp.A.tobytes() + qp.t.tobytes()).hexdigest()
-    print(median_heuristic(data).hex(), digest)
+    print(median_heuristic(data).hex(), digest(assemble_quadratic(data, 1.0)))
+# the training half of the large-n test command: 1000 + 1000 rows, D=60
+data, _ = synth_block_gaussian(
+    SynthSpec(blocks=20, n=2000, m=2000, mode="shift", seed=RandomSource(1))
+)
+train, _ = split_train_test(data, 0.5, derive_stream(RandomSource(1), 0))
+print(digest(assemble_quadratic(train, 1.0)))
 """
 
 
@@ -418,7 +424,7 @@ def test_bandwidth_and_coefficients_bit_identical_across_blas_thread_counts():
             env=env, capture_output=True, text=True, timeout=300, check=True,
         )
         outputs.append(run.stdout)
-    assert len(outputs[0].splitlines()) == 4
+    assert len(outputs[0].splitlines()) == 5
     assert outputs[0] == outputs[1]
 
 

@@ -7,11 +7,12 @@ from mmdselect.core import TwoSampleData, make_selection
 from mmdselect.mmd import KernelSpec, mmd_sq
 from mmdselect.quad import (
     QuadProblem,
+    _certified_upper_bound,
+    _greedy_local,
     assemble_quadratic,
     exact_select_bnb,
     greedy_select,
     local_search,
-    relax_select,
 )
 from mmdselect.trs import lambda_set, trs_max
 
@@ -24,6 +25,12 @@ def psd_instance(gen, D):
     A -= min(float(np.linalg.eigvalsh(A)[0]), 0.0) * np.eye(D)
     t = gen.standard_normal(D)
     return QuadProblem(A, t)
+
+
+def relax(qp, d):
+    """What ``Selector("quad-relax")`` reports on ``qp``: greedy + local
+    search's solution and the certified upper bound, in unshifted units."""
+    return _greedy_local(qp, d), qp.report_value(_certified_upper_bound(qp, d))
 
 
 def test_problem_rejects_asymmetric_or_non_square_matrix():
@@ -164,10 +171,10 @@ def test_sandwich_greedy_local_exact_relax(seed, D, d):
     g = greedy_select(qp, d)
     l = local_search(qp, d, list(g.support) if len(g.support) == d else sorted(set(g.support) | set(range(d)))[:d])
     e = exact_select_bnb(qp, d)
-    r = relax_select(qp, d)
+    r, bound = relax(qp, d)
     assert g.value <= l.value + 1e-6
     assert l.value <= e.value + 1e-6
-    assert e.value <= r.upper_bound + 1e-6
+    assert e.value <= bound + 1e-6
     assert r.support == l.support
     assert r.value == l.value
 
@@ -175,27 +182,25 @@ def test_sandwich_greedy_local_exact_relax(seed, D, d):
 def test_relax_full_budget_bound_tight():
     gen = np.random.default_rng(6)
     qp = psd_instance(gen, 5)
-    rep = relax_select(qp, 5)
+    rep, bound = relax(qp, 5)
     w_full = trs_max(qp.A, qp.t).value + qp.shift
-    assert rep.upper_bound == pytest.approx(w_full, abs=1e-6)
+    assert bound == pytest.approx(w_full, abs=1e-6)
     assert rep.value == pytest.approx(w_full, abs=1e-6)
 
 
 def test_relax_diag_rounding():
     qp = QuadProblem(np.diag([5.0, 3.0, 1.0]), np.zeros(3))
-    rep = relax_select(qp, 1)
+    rep, bound = relax(qp, 1)
     assert rep.support == (0,)
     assert rep.value == pytest.approx(5.0, abs=1e-8)
-    assert rep.upper_bound <= 15.0 + 1e-9  # D/d * optimum sanity cap
-    assert rep.bound_certified
+    assert bound <= 15.0 + 1e-9  # D/d * optimum sanity cap
 
 
 def test_relax_deterministic():
     gen = np.random.default_rng(77)
     qp = psd_instance(gen, 5)
-    r1 = relax_select(qp, 2)
-    r2 = relax_select(qp, 2)
-    assert r1.support == r2.support and r1.value == r2.value
+    (r1, b1), (r2, b2) = relax(qp, 2), relax(qp, 2)
+    assert r1.support == r2.support and r1.value == r2.value and b1 == b2
 
 
 def test_approximation_gap_checks():
@@ -236,3 +241,20 @@ def test_quad_problem_psd_shift_bookkeeping():
     # reported optimum refers to the unshifted problem: max z'Az = 2
     rep = exact_select_bnb(qp, 2)
     assert rep.value == pytest.approx(2.0, abs=1e-8)
+    # a non-PSD, not exactly symmetric input: the result skips the
+    # constructor's checks, passes them, and keeps the bits the checked path
+    # gave (symmetrize, shift by lambda_min, copy)
+    gen = np.random.default_rng(8)
+    B = gen.standard_normal((6, 6))
+    A, t = B + B.T + 1e-13 * gen.standard_normal((6, 6)), gen.standard_normal(6)
+    qp = QuadProblem.from_matrices(A, t)
+    sym = 0.5 * (A + A.T)
+    lmin = float(np.linalg.eigvalsh(sym)[0])
+    assert lmin < 0.0 and qp.shift == lmin
+    assert qp.A.tobytes() == (sym - lmin * np.eye(6)).tobytes()
+    assert qp.t.tobytes() == t.tobytes()
+    assert qp.A.flags.c_contiguous and not qp.A.flags.writeable and not qp.t.flags.writeable
+    checked = QuadProblem(qp.A, qp.t, qp.shift)
+    assert checked.A.tobytes() == qp.A.tobytes() and checked.t.tobytes() == qp.t.tobytes()
+    t[0] += 1.0  # the problem holds its own copy
+    assert qp.t[0] != t[0]

@@ -13,13 +13,14 @@ from mmdselect.spectrahedron import (
     SmdStats,
     SpectraPoint,
     _norm_at_most,
-    bregman,
     entropy_radius,
     mirror_step,
     prop1_step_rule,
     smd_run,
     spectral_norm,
 )
+
+from oracles import bregman
 
 
 def random_density(gen, k, tau=1.0):
