@@ -100,7 +100,10 @@ def assemble_quadratic(data: TwoSampleData, c: float) -> QuadProblem:
         Gy = data.Y.T @ data.Y / data.m
         A = (Gx - Gy) ** 2
         t = 2.0 * c * (data.X.mean(axis=0) - data.Y.mean(axis=0)) ** 2
-    if not (np.isfinite(A).all() and np.isfinite(t).all()):
+        # the sphere oracle's norms sum the squares of these entries, which
+        # overflow for columns near 1e39 and up
+        sizes = np.linalg.norm(A) + np.linalg.norm(t)
+    if not np.isfinite(sizes):
         raise _overflow_error("the quadratic kernel's squared moment gaps")
     return QuadProblem.from_matrices(A, t)
 

@@ -85,14 +85,8 @@ class Selector:
             selection, objective = linear_select(linear_coefficients(train), d)
             return selection, {"method": "linear", "objective": objective}
         if self.name == "gauss-ccp":
-            cfg = GaussConfig(
-                gamma=kernel.require_bandwidth(),
-                lam=self.options.get("lam", 0.001),
-                T_out=self.options.get("T_out", 6),
-                T_in=self.options.get("T_in", 150),
-                batch=self.options.get("batch", 256),
-                rng=rng,
-            )
+            opts = {k: v for k, v in self.options.items() if k != "lambda_grid"}
+            cfg = GaussConfig(gamma=kernel.require_bandwidth(), rng=rng, **opts)
             if self.options.get("lambda_grid"):
                 cfg = replace(cfg, lambda_grid=tuple(self.options["lambda_grid"]))
                 tr, val = split_train_test(train, 0.5, derive_stream(rng, 77))

@@ -7,18 +7,20 @@ and solves the secular equation ``||z(mu)|| = 1`` with
 ``z(mu) = Q diag(1 / (2(mu - lam))) Q't`` for ``mu > lambda_max`` (More &
 Sorensen 1983) by Brent's method.  When the linear term is (numerically)
 orthogonal to the leading eigenspace and ``mu = lambda_max`` leaves
-``||z|| < 1`` (the hard case), a leading-eigenspace component restores unit
-norm.
+``||z|| < 1`` (the hard case), a leading eigenvector, its largest entry
+positive, restores unit norm; ``t = 0`` is such a case.
 
 ``lambda_set`` restricts the oracle to a coordinate subset and re-embeds the
 maximizer, which is how every subset-selection routine scores a support.
 Both are the one-lane case of a stacked oracle that scores many supports of
-one ``(A, t)`` with one stacked ``eigh``.  Each lane still takes the scalar
-branches and Brent's method (one variable: the closed form), so a support's
-answer is bit-identical whether it is scored alone or in a stack.  Greedy
-selection takes each round's argmax from the stack, solving only the lanes
-whose bound ``lambda_max(A_S) + ||t_S||``, read from the stacked ``eigh``, can
-still reach the best value.
+one ``(A, t)`` with one stacked ``eigh``.  Every lane, whatever its size and
+even for ``t = 0``, takes the same path through the secular branches and the
+certificate, so a support's answer is bit-identical whether it is scored
+alone or in a stack.  The certificate's tolerances are relative to the lane's scale
+``1 + max(||t||, |lambda(A)|)``, so the magnitude of the data does not decide
+whether a correct answer passes.  Greedy selection takes each round's argmax from the stack, solving only the lanes whose bound
+``lambda_max(A_S) + ||t_S||``, read from the stacked ``eigh``, can still
+reach the best value.
 """
 
 from __future__ import annotations
@@ -53,20 +55,6 @@ class TrsSolution:
 def _canonical_sign(z: np.ndarray) -> np.ndarray:
     j = int(np.argmax(np.abs(z)))
     return -z if z[j] < 0 else z
-
-
-def _residual(A, t, z, mu) -> float:
-    return float(np.linalg.norm(2.0 * (mu * z - A @ z) - t))
-
-
-def _check_finite(value: float, mu: float, res: float) -> None:
-    """Raise ``ArithmeticError`` when the maximum, its multiplier or its KKT
-    residual overflowed float64 (entries of ``A`` or ``t`` near 1e308)."""
-    if not (math.isfinite(value) and math.isfinite(mu) and math.isfinite(res)):
-        raise ArithmeticError(
-            f"sphere maximum overflows float64 "
-            f"(value {value!r}, multiplier {mu!r}, residual {res!r})"
-        )
 
 
 def _brentq(f, xa: float, xb: float, xtol=1e-15, rtol=8.9e-16, maxiter=200) -> float:
@@ -168,10 +156,11 @@ def _secular(lam: np.ndarray, Q: np.ndarray, tt: np.ndarray, tnorm: float):
         zt[comp] = tt[comp] / (2.0 * (lmax - lam[comp]))
         nrm2 = float(np.sum(zt**2))
         if nrm2 <= 1.0:
-            # boundary multiplier; pad with a leading eigenvector to reach the sphere
+            # boundary multiplier (t = 0 included); pad with a leading
+            # eigenvector, signed canonically, to reach the sphere
             hard = True
             mu = lmax
-            z = Q @ zt + np.sqrt(max(0.0, 1.0 - nrm2)) * Q[:, -1]
+            z = Q @ zt + np.sqrt(max(0.0, 1.0 - nrm2)) * _canonical_sign(Q[:, -1])
         else:
             mu, z = root_from_floor(hi)
     nz = float(np.linalg.norm(z))
@@ -194,49 +183,41 @@ def _oracle_input(A, t) -> tuple[np.ndarray, np.ndarray]:
     return A, t
 
 
-def _certified(A, t, z, mu: float, lmax: float, value: float, hard: bool, tnorm: float):
-    """One lane's answer, once its KKT residual (at most ``1e-6 (1 + ||t||)``)
-    and ``mu >= lambda_max - 1e-7`` pass the certificate and nothing
-    overflowed; otherwise ``ArithmeticError``."""
-    res = _residual(A, t, z, mu)
-    bound = 1e-6 * (1.0 + tnorm)
-    # written so that a NaN residual or multiplier fails, as does an overflowed bound
-    if not (math.isfinite(bound) and res <= bound and mu >= lmax - 1e-7):
+def _certified(A, t, z, mu: float, lam, value: float, tnorm: float) -> float:
+    """A lane's KKT residual, once the lane passes its certificate; otherwise
+    ``ArithmeticError``.  With the lane's scale
+    ``s = 1 + max(||t||, |lambda_min|, |lambda_max|)``, its KKT residual is at
+    most ``1e-6 s``, ``mu >= lambda_max - 1e-7 s``, and the value, multiplier,
+    residual and scale are finite (nothing overflowed float64)."""
+    res = float(np.linalg.norm(2.0 * (mu * z - A @ z) - t))
+    lmax = float(lam[-1])
+    s = 1.0 + max(tnorm, abs(float(lam[0])), abs(lmax))
+    # written so that a NaN fails, as does anything that overflowed
+    if not (
+        res <= 1e-6 * s
+        and lmax - 1e-7 * s <= mu < math.inf
+        and math.isfinite(value)
+        and math.isfinite(s)
+    ):
         raise ArithmeticError(
-            f"sphere maximizer failed its optimality certificate (residual {res:.3e})"
+            f"sphere maximizer failed its optimality certificate (value {value!r}, "
+            f"multiplier {mu!r}, residual {res!r}, scale {s!r})"
         )
-    _check_finite(value, mu, res)
-    return value, z, mu, res, hard
+    return res
 
 
 def _solve_lane(a, tv, lam, Q, tt):
-    """Sphere maximum of one lane ``(a, tv)`` of size k: the closed form for
-    k = 1 (``lam``, ``Q`` and ``tt`` are None), else the scalar branches on
-    the lane's slice of a stacked ``eigh`` (``lam``, ``Q``) and ``tt = Q'tv``,
-    and its own certificate.  Returns
-    ``(value, z, mu, kkt_residual, hard_case)``."""
+    """Sphere maximum of one lane ``(a, tv)`` of any size, from its slice of
+    a stacked ``eigh`` (``lam``, ``Q``) and ``tt = Q'tv``, with its own
+    certificate.  Returns ``(value, z, mu, kkt_residual, hard_case)``."""
     tnorm = float(np.linalg.norm(tv))
-    if Q is None:
-        lmax = float(a[0, 0])
-        z = np.array([1.0 if tv[0] >= 0 else -1.0])
-        mu = lmax + abs(float(tv[0])) / 2.0
-        value = lmax + abs(float(tv[0]))
-        hard = bool(tv[0] == 0.0)
-    else:
-        lmax = float(lam[-1])
-        if tnorm == 0.0:
-            # no certificate: its absolute bound fails large exact answers
-            z = _canonical_sign(Q[:, -1])
-            res = _residual(a, tv, z, lmax)
-            _check_finite(lmax, lmax, res)
-            return lmax, z, lmax, res, True
-        z, mu, hard = _secular(lam, Q, tt, tnorm)
-        value = float(z @ a @ z + tv @ z)
-    return _certified(a, tv, z, mu, lmax, value, hard, tnorm)
+    z, mu, hard = _secular(lam, Q, tt, tnorm)
+    value = float(z @ a @ z + tv @ z)
+    return value, z, mu, _certified(a, tv, z, mu, lam, value, tnorm), hard
 
 
 def _eig_stack(As: np.ndarray, ts: np.ndarray):
-    """``(lam, Q, Q't)`` of a stack of problems of one size k >= 2, from one
+    """``(lam, Q, Q't)`` of a stack of problems of one size k, from one
     stacked ``eigh`` and one stacked product; they equal the per-matrix ones
     bit for bit, so a lane's answer does not depend on the stack it sits in."""
     lam, Q = np.linalg.eigh(As)
@@ -245,10 +226,9 @@ def _eig_stack(As: np.ndarray, ts: np.ndarray):
 
 def _solve_stack(As: np.ndarray, ts: np.ndarray) -> list:
     """Sphere maxima of the problems ``(As[i], ts[i])``, all of one size k,
-    one ``_solve_lane`` each.  The inputs are taken as validated.  Returns
-    one ``(value, z, mu, kkt_residual, hard_case)`` tuple per lane."""
-    if ts.shape[1] == 1:
-        return [_solve_lane(a, tv, None, None, None) for a, tv in zip(As, ts)]
+    one ``_solve_lane`` each on one stacked ``eigh``.  The inputs are taken
+    as validated.  Returns one ``(value, z, mu, kkt_residual, hard_case)``
+    tuple per lane."""
     lam, Q, tts = _eig_stack(As, ts)
     return [_solve_lane(As[i], ts[i], lam[i], Q[i], tts[i]) for i in range(len(ts))]
 
@@ -289,21 +269,16 @@ def _sphere_argmax(A, t, supports) -> tuple:
     that can reach it.
 
     Lane ``S`` is at most ``lambda_max(A_S) + ||t_S||``, read from its
-    stack's ``eigh`` (for k = 1 it is the lane's value).  Each stack's lanes
-    are solved in order of falling bound, until the next bound plus a margin
-    for rounding in the eigenvalues and in a lane's value,
-    ``1e-9 (1 + max |lambda(A_S)| + ||t_S||)``, falls below the best value so
-    far, which carries from stack to stack.  A bound that overflows or is NaN
+    stack's ``eigh``.  Each stack's lanes are solved in order of falling
+    bound, until the next bound plus a margin for rounding in the eigenvalues
+    and in a lane's value, ``1e-9 (1 + max |lambda(A_S)| + ||t_S||)``, falls
+    below the best value so far, which carries from stack to stack.  A bound that overflows or is NaN
     counts as infinite, so its lane is solved first and its certificate is
     checked.  A solved lane is bit-identical to its ``_sphere_stack`` lane."""
     best, best_value, best_lane = -1, -math.inf, None
     for s, As, ts in _stacks(A, t, supports):
-        k = ts.shape[1]
-        if k == 1:
-            lo = hi = As[:, 0, 0]
-        else:
-            lam, Q, tts = _eig_stack(As, ts)
-            lo, hi = lam[:, 0], lam[:, -1]
+        lam, Q, tts = _eig_stack(As, ts)
+        lo, hi = lam[:, 0], lam[:, -1]
         with np.errstate(over="ignore"):
             tn = np.sqrt(np.einsum("ij,ij->i", ts, ts))
             bound = hi + tn
@@ -312,8 +287,7 @@ def _sphere_argmax(A, t, supports) -> tuple:
         for i in np.argsort(-bound, kind="stable").tolist():
             if bound[i] + margin[i] < best_value:
                 break
-            eig = (None, None, None) if k == 1 else (lam[i], Q[i], tts[i])
-            lane = _solve_lane(As[i], ts[i], *eig)
+            lane = _solve_lane(As[i], ts[i], lam[i], Q[i], tts[i])
             if lane[0] > best_value or (lane[0] == best_value and s + i < best):
                 best, best_value, best_lane = s + i, lane[0], lane
     return best, best_lane

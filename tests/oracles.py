@@ -58,31 +58,20 @@ def dual_trs_value(A: np.ndarray, t: np.ndarray) -> float:
     return float(min(res.fun, h(eta_min)))
 
 
-def scalar_sphere_max(A: np.ndarray, t: np.ndarray, tol: float = 1e-9):
+def scalar_sphere_max(A: np.ndarray, t: np.ndarray):
     """The sphere oracle's answer for one symmetric problem, computed alone:
-    its own ``eigh`` and ``Q.T @ t``, the closed form for k = 1, the secular
-    branches with scipy's ``brentq``, and the KKT / ``mu >= lambda_max``
-    certificate.  Returns ``(value, z, mu, kkt_residual, hard_case)``; the
-    stacked oracle must give each lane these bits."""
+    its own ``eigh`` and ``Q.T @ t``, the secular branches with scipy's
+    ``brentq`` for every size and every ``t``, and the KKT /
+    ``mu >= lambda_max`` certificate relative to
+    ``s = 1 + max(||t||, |lambda_min|, |lambda_max|)``.  Returns
+    ``(value, z, mu, kkt_residual, hard_case)``; the stacked oracle must give
+    each lane these bits."""
     A = np.asarray(A, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64).reshape(-1)
     k = A.shape[0]
     tnorm = float(np.linalg.norm(t))
-
-    def residual(z, mu):
-        return float(np.linalg.norm(2.0 * (mu * z - A @ z) - t))
-
-    if k == 1:
-        lmax = float(A[0, 0])
-        z = np.array([1.0 if t[0] >= 0 else -1.0])
-        mu = lmax + abs(float(t[0])) / 2.0
-        return lmax + abs(float(t[0])), z, mu, residual(z, mu), bool(t[0] == 0.0)
     lam, Q = np.linalg.eigh(A)
     lmax = float(lam[-1])
-    if tnorm == 0.0:
-        z = Q[:, -1]
-        z = -z if z[int(np.argmax(np.abs(z)))] < 0 else z
-        return lmax, z, lmax, residual(z, lmax), True
     tt = Q.T @ t
     scale = max(1.0, abs(lmax), tnorm)
     lead = lam >= lmax - 1e-10 * scale
@@ -122,20 +111,23 @@ def scalar_sphere_max(A: np.ndarray, t: np.ndarray, tol: float = 1e-9):
         if nrm2 <= 1.0:
             hard = True
             mu = lmax
-            z = Q @ zt + np.sqrt(max(0.0, 1.0 - nrm2)) * Q[:, -1]
+            q = Q[:, -1]
+            q = -q if q[int(np.argmax(np.abs(q)))] < 0 else q
+            z = Q @ zt + np.sqrt(max(0.0, 1.0 - nrm2)) * q
         else:
             mu, z = root_from_floor(hi)
     nz = float(np.linalg.norm(z))
     if nz > 0:
         z = z / nz
     mu = float(mu)
-    res = residual(z, mu)
-    if not (res <= max(tol, 1e-6) * (1.0 + tnorm) and mu >= lmax - max(tol, 1e-7)):
+    res = float(np.linalg.norm(2.0 * (mu * z - A @ z) - t))
+    s = 1.0 + max(tnorm, abs(float(lam[0])), abs(lmax))
+    if not (res <= 1e-6 * s and mu >= lmax - 1e-7 * s):
         raise ArithmeticError(f"certificate failed (residual {res:.3e})")
     return float(z @ A @ z + t @ z), z, mu, res, hard
 
 
-def greedy_reference(A: np.ndarray, t: np.ndarray, d: int, tol: float = 1e-9):
+def greedy_reference(A: np.ndarray, t: np.ndarray, d: int):
     """Greedy forward selection written out plainly: each round scores every
     augmented support with ``scalar_sphere_max`` and keeps the first maximum
     in index order.  Returns the support, its value and its maximizer
@@ -149,7 +141,7 @@ def greedy_reference(A: np.ndarray, t: np.ndarray, d: int, tol: float = 1e-9):
             if j in S:
                 continue
             idx = sorted(S + [j])
-            lane = scalar_sphere_max(A[np.ix_(idx, idx)], t[idx], tol)
+            lane = scalar_sphere_max(A[np.ix_(idx, idx)], t[idx])
             if best is None or lane[0] > best[1][0]:
                 best = (idx, lane)
         S = best[0]

@@ -232,7 +232,7 @@ def test_synth_round_trip(tmp_path):
     data = load_two_sample(ox, oy)
     assert data.n == 9 and data.m == 7 and data.dim == 6
     assert doc["true_support"] == [1, 2, 3]
-    assert json.loads(open(osup).read())["true_support"] == [1, 2, 3]
+    assert json.loads(Path(osup).read_text())["true_support"] == [1, 2, 3]
 
 
 def test_synth_deterministic(tmp_path):
@@ -241,8 +241,8 @@ def test_synth_deterministic(tmp_path):
     bx, by = str(tmp_path / "bx.csv"), str(tmp_path / "by.csv")
     assert dispatch(args + ["--out-x", ax, "--out-y", ay, "--out", str(tmp_path / "o1.json")]) == 0
     assert dispatch(args + ["--out-x", bx, "--out-y", by, "--out", str(tmp_path / "o2.json")]) == 0
-    assert open(ax).read() == open(bx).read()
-    assert open(ay).read() == open(by).read()
+    assert Path(ax).read_text() == Path(bx).read_text()
+    assert Path(ay).read_text() == Path(by).read_text()
 
 
 def test_bench_power_schema(tmp_path, monkeypatch):
@@ -336,12 +336,13 @@ def test_bench_power_module_run_same_at_two_workers(tmp_path):
     assert docs["1"] == docs["2"]
 
 
-def test_bench_unknown_selector_exits_2(tmp_path):
+def test_bench_unknown_selector_exits_2(tmp_path, capsys):
     code = dispatch(
         ["bench-power", "--blocks", "2", "--n", "12", "--m", "12",
          "--selectors", "nope", "--d", "2", "--trials", "1"]
     )
     assert code == 2
+    assert capsys.readouterr().err == "error: unknown solver 'nope'\n"
 
 
 def test_select_quad_exact_diagnostics(csv_pair, tmp_path):
@@ -401,33 +402,22 @@ def _degenerate_inputs() -> dict:
         "integer-ties": (ties(), ties()),
         "single-column": (normal(20, 1), normal(20, 1)),
     }
-    r = np.random.default_rng(3)
-    inputs["scale-1e8"] = (1e8 * r.standard_normal((20, 6)), 1e8 * r.standard_normal((20, 6)))
+    # large scales: the sphere oracle's certificate must scale with A, and
+    # at 1e60 the quadratic kernel's norms overflow float64
+    for kind, scale in (("scale-1e8", 1e8), ("scale-1e12", 1e12), ("scale-1e60", 1e60)):
+        r = np.random.default_rng(3)
+        inputs[kind] = (scale * r.standard_normal((20, 6)), scale * r.standard_normal((20, 6)))
     return inputs
 
 
 DEGENERATE = _degenerate_inputs()
-
-# the failing lane is a correct k = 1 closed form: its KKT residual is
-# rounding of ~1e31 entries, but the certificate's bound is absolute in A
-_CERTIFICATE_NOT_SCALE_FREE = pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="ROADMAP item 13: at scale 1e8 the sphere oracle's absolute KKT "
-    "certificate rejects a correct lane, so select exits 1 with ArithmeticError",
-)
 
 
 def _degenerate_cells():
     for kind in DEGENERATE:
         for solver in sorted(SOLVER_FAMILIES):
             for command in ("select", "test"):
-                fails = kind == "scale-1e8" and command == "select" and solver.startswith("quad-")
-                yield pytest.param(
-                    kind, solver, command,
-                    marks=_CERTIFICATE_NOT_SCALE_FREE if fails else (),
-                    id=f"{kind}-{solver}-{command}",
-                )
+                yield pytest.param(kind, solver, command, id=f"{kind}-{solver}-{command}")
 
 
 @pytest.fixture(scope="module")

@@ -3,8 +3,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from mmdselect.core import TwoSampleData, make_selection
-from mmdselect.mmd import KernelSpec, mmd_sq
+from mmdselect.core import (
+    RandomSource,
+    TwoSampleData,
+    derive_stream,
+    make_selection,
+    split_train_test,
+)
+from mmdselect.mmd import QUADRATIC, KernelSpec, mmd_sq, resolve_kernel
 from mmdselect.quad import (
     QuadProblem,
     _certified_upper_bound,
@@ -201,6 +207,20 @@ def test_relax_deterministic():
     qp = psd_instance(gen, 5)
     (r1, b1), (r2, b2) = relax(qp, 2), relax(qp, 2)
     assert r1.support == r2.support and r1.value == r2.value and b1 == b2
+
+
+def test_relax_bound_certified_on_data_of_scale_1e9():
+    # the training half of `mmdselect test --seed 1` on 20 x 6 data scaled by
+    # 1e9: A's entries reach ~1e36, and a certificate absolute in A rejected
+    # the full-sphere lane and local search's lanes as rounding
+    r = np.random.default_rng(6)
+    X = 1e9 * r.standard_normal((20, 6))
+    Y = 1e9 * r.standard_normal((20, 6))
+    train, _ = split_train_test(TwoSampleData(X, Y), 0.5, derive_stream(RandomSource(1), 0))
+    kernel = resolve_kernel(KernelSpec(QUADRATIC, None), train, 3)
+    qp = assemble_quadratic(train, kernel.require_bandwidth())
+    rep, bound = relax(qp, 3)
+    assert bound >= rep.value
 
 
 def test_approximation_gap_checks():
