@@ -162,6 +162,17 @@ class SelectorSummary:
     values: tuple
 
 
+def _summary(name: str, values) -> SelectorSummary:
+    """Mean, population standard deviation and values of one metric."""
+    vals = np.array(values)
+    return SelectorSummary(
+        name=name,
+        mean=float(vals.mean()),
+        sd=float(vals.std()),
+        values=tuple(float(v) for v in vals),
+    )
+
+
 @dataclass(frozen=True)
 class ExperimentSummary:
     """Per-selector results of a sweep.  ``parallel`` says how the trials
@@ -387,18 +398,10 @@ def run_power_experiment(config: ExperimentConfig) -> ExperimentSummary:
     rows, parallel = _map_trials(
         functools.partial(_power_trial, config), config.trials, config.workers
     )
-    per = []
-    for k, sel in enumerate(config.selectors):
-        vals = np.array([row[k] for row in rows])
-        per.append(
-            SelectorSummary(
-                name=sel.name,
-                mean=float(vals.mean()),
-                sd=float(vals.std()),
-                values=tuple(float(v) for v in vals),
-            )
-        )
-    return ExperimentSummary(kind="power", per_selector=tuple(per), parallel=parallel)
+    per = tuple(
+        _summary(sel.name, [row[k] for row in rows]) for k, sel in enumerate(config.selectors)
+    )
+    return ExperimentSummary(kind="power", per_selector=per, parallel=parallel)
 
 
 def run_recovery_experiment(config: ExperimentConfig) -> ExperimentSummary:
@@ -408,24 +411,9 @@ def run_recovery_experiment(config: ExperimentConfig) -> ExperimentSummary:
     rows, parallel = _map_trials(
         functools.partial(_recovery_trial, config), config.trials, config.workers
     )
-    per = []
-    for k, sel in enumerate(config.selectors):
-        fdps = np.array([row[k][0] for row in rows])
-        ndps = np.array([row[k][1] for row in rows])
-        per.append(
-            SelectorSummary(
-                name=sel.name + ":fdp",
-                mean=float(fdps.mean()),
-                sd=float(fdps.std()),
-                values=tuple(float(v) for v in fdps),
-            )
-        )
-        per.append(
-            SelectorSummary(
-                name=sel.name + ":ndp",
-                mean=float(ndps.mean()),
-                sd=float(ndps.std()),
-                values=tuple(float(v) for v in ndps),
-            )
-        )
-    return ExperimentSummary(kind="recovery", per_selector=tuple(per), parallel=parallel)
+    per = tuple(
+        _summary(f"{sel.name}:{metric}", [row[k][m] for row in rows])
+        for k, sel in enumerate(config.selectors)
+        for m, metric in enumerate(("fdp", "ndp"))
+    )
+    return ExperimentSummary(kind="recovery", per_selector=per, parallel=parallel)

@@ -8,6 +8,9 @@ and candidate features.  A certified closed-form upper bound on the exact
 optimum turns greedy + local search into an approximation algorithm: the
 ``quad-relax`` solver reports its solution under that bound.
 
+A ``QuadProblem`` checks its ``(A, t)`` once, when it is built; every
+solver scores its supports with ``trs``'s stacked oracle, unchecked.
+
 The matrix is stored PSD-shifted (``A - lambda_min(A) I`` when needed) and all
 reported objective values are translated back to the unshifted problem.
 """
@@ -19,13 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SelectionVector, TwoSampleData, make_selection
-from .core import _check_symmetric, _one_blas_thread, _overflow_error
+from .core import _one_blas_thread, _overflow_error
 from .core import _freeze as _freeze_input
-from .trs import _TOL, TrsSolution, _embedded, _sphere_argmax, lambda_set, trs_max
+from .trs import _TOL, _check_finite, _oracle_input, _sphere_argmax, _sphere_stack
 
 GREEDY = "greedy"
 LOCAL = "local"
 EXACT = "exact"
+
+# Largest dimension the exact solver accepts: its node count, and so its
+# time, can grow exponentially with the dimension.
+_DIM_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -35,7 +42,8 @@ class QuadProblem:
     ``A`` is symmetric positive semidefinite; ``shift`` records the
     ``lambda_min`` that was subtracted from the raw matrix (0 when it was
     already PSD), so that an objective value ``v`` computed on the stored
-    matrix reports as ``v + shift`` in the original problem.
+    matrix reports as ``v + shift`` in the original problem.  Finite and
+    exactly symmetric, ``(A, t)`` is the sphere oracle's checked input.
     """
 
     A: np.ndarray
@@ -43,15 +51,10 @@ class QuadProblem:
     shift: float = 0.0
 
     def __post_init__(self):
-        A = _freeze_input(_check_symmetric(self.A, "A", 1e-10))
-        t = _freeze_input(self.t)
+        A, t = map(_freeze_input, _oracle_input(self.A, self.t))
         scale = max(1.0, float(np.max(np.abs(A))) if A.size else 0.0)
-        if A.shape[0] != t.shape[0]:
-            raise ValueError("A and t dimensions disagree")
         if float(np.linalg.eigvalsh(A)[0]) < -1e-8 * scale:
             raise ValueError("stored matrix must be PSD; use from_matrices to shift")
-        A.flags.writeable = False
-        t.flags.writeable = False
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "t", t)
 
@@ -64,12 +67,13 @@ class QuadProblem:
         """Record ``lambda_min`` and shift the matrix to PSD when needed.
 
         The symmetrized matrix minus its own ``lambda_min`` is symmetric and
-        PSD by construction, so the result skips the constructor's checks and
-        ``A`` is decomposed once."""
+        PSD by construction, so the result skips the constructor's checks
+        but finiteness, and ``A`` is decomposed once."""
         A = np.asarray(A, dtype=np.float64)
         t = _freeze_input(t)
         if A.ndim != 2 or A.shape != (t.shape[0], t.shape[0]):
             raise ValueError("A and t dimensions disagree")
+        _check_finite(A, t)
         A = 0.5 * (A + A.T)
         shift = min(float(np.linalg.eigvalsh(A)[0]), 0.0)
         if shift < 0.0:
@@ -123,12 +127,14 @@ class QuadSolveReport:
         object.__setattr__(self, "support", tuple(int(i) for i in self.support))
 
 
-def _report(qp: QuadProblem, d: int, sol: TrsSolution, method: str, **kw) -> QuadSolveReport:
-    support = tuple(int(i) for i in np.flatnonzero(sol.z))
+def _report(qp: QuadProblem, d: int, S, lane, method: str, **kw) -> QuadSolveReport:
+    """The report of support ``S`` from its lane, embedded in ``qp.dim``."""
+    z = np.zeros(qp.dim)
+    z[list(S)] = lane[1]
     return QuadSolveReport(
-        support=support,
-        z=make_selection(sol.z, d),
-        value=qp.report_value(sol.value),
+        support=tuple(np.flatnonzero(z)),
+        z=make_selection(z, d),
+        value=qp.report_value(lane[0]),
         method=method,
         **kw,
     )
@@ -151,7 +157,7 @@ def greedy_select(qp: QuadProblem, d: int) -> QuadSolveReport:
         rows = [sorted(S + [j]) for j in range(D) if j not in S]
         best, lane = _sphere_argmax(qp.A, qp.t, rows)
         S = rows[best]
-    return _report(qp, d, _embedded(D, S, lane), GREEDY)
+    return _report(qp, d, S, lane, GREEDY)
 
 
 def local_search(qp: QuadProblem, d: int, init) -> QuadSolveReport:
@@ -162,7 +168,7 @@ def local_search(qp: QuadProblem, d: int, init) -> QuadSolveReport:
     S = sorted(int(i) for i in init)
     if len(S) != min(d, D) or len(set(S)) != len(S):
         raise ValueError("init must be a duplicate-free support of size min(d, D)")
-    sol = lambda_set(S, qp.A, qp.t)
+    best = _sphere_stack(qp.A, qp.t, [S])[0]
     for _ in range(100):
         improved = False
         for i in list(S):
@@ -170,16 +176,16 @@ def local_search(qp: QuadProblem, d: int, init) -> QuadSolveReport:
                 if j in S:
                     continue
                 cand = sorted([*(x for x in S if x != i), j])
-                lane = lambda_set(cand, qp.A, qp.t)
-                if lane.value > sol.value + _TOL:
-                    S, sol = cand, lane
+                lane = _sphere_stack(qp.A, qp.t, [cand])[0]
+                if lane[0] > best[0] + _TOL:
+                    S, best = cand, lane
                     improved = True
                     break
             if improved:
                 break
         if not improved:
             break
-    return _report(qp, d, sol, LOCAL)
+    return _report(qp, d, S, best, LOCAL)
 
 
 def _greedy_local(qp: QuadProblem, d: int) -> QuadSolveReport:
@@ -188,25 +194,24 @@ def _greedy_local(qp: QuadProblem, d: int) -> QuadSolveReport:
     return local_search(qp, d, _pad_support(g.support, d, qp.dim))
 
 
-def exact_select_bnb(qp: QuadProblem, d: int, dim_cap: int = 30) -> QuadSolveReport:
+def exact_select_bnb(qp: QuadProblem, d: int) -> QuadSolveReport:
     """Exact solver: depth-first branch and bound over feature decisions.
 
     A node fixes a forced set and a candidate set; its bound is the sphere
     oracle on ``forced | candidates`` (valid since feasible supports nest).
     The incumbent starts from greedy refined by local search.  Among optima
     whose values tie within 1e-9 the lexicographically smallest support found
-    is kept.
+    is kept, with its lane.  Dimensions above ``_DIM_CAP`` raise.
     """
     D = qp.dim
     if not 1 <= d <= D:
         raise ValueError(f"budget d={d} outside [1, {D}]")
-    if D > dim_cap:
-        raise ValueError(f"dimension {D} exceeds the exact-solver cap {dim_cap}")
+    if D > _DIM_CAP:
+        raise ValueError(f"dimension {D} exceeds the exact-solver cap {_DIM_CAP}")
 
     l = _greedy_local(qp, d)
-    init_sup = sorted(_pad_support(l.support, d, D))
-    best_val = lambda_set(init_sup, qp.A, qp.t).value
-    best_sup = tuple(init_sup)
+    best_sup = tuple(_pad_support(l.support, d, D))
+    best = _sphere_stack(qp.A, qp.t, [best_sup])[0]
 
     tie_tol = 1e-9
     node_count = 0
@@ -219,24 +224,23 @@ def exact_select_bnb(qp: QuadProblem, d: int, dim_cap: int = 30) -> QuadSolveRep
             sup = sorted(forced) if len(forced) >= d else union
             if not sup:
                 continue
-            v = lambda_set(sup, qp.A, qp.t).value
-            if v > best_val + tie_tol or (
-                abs(v - best_val) <= tie_tol and tuple(sup) < best_sup
+            lane = _sphere_stack(qp.A, qp.t, [sup])[0]
+            if lane[0] > best[0] + tie_tol or (
+                abs(lane[0] - best[0]) <= tie_tol and tuple(sup) < best_sup
             ):
-                best_val, best_sup = v, tuple(sup)
+                best_sup, best = tuple(sup), lane
             continue
-        node = lambda_set(union, qp.A, qp.t)
-        if node.value <= best_val + tie_tol:
+        node = _sphere_stack(qp.A, qp.t, [union])[0]
+        if node[0] <= best[0] + tie_tol:
             continue
         # branch on the candidate carrying the most weight in the bound solution
-        weights = np.abs(node.z)
+        weights = dict(zip(union, np.abs(node[1]).tolist()))
         j = max(cand, key=lambda c: (weights[c], -c))
         rest = tuple(c for c in cand if c != j)
         stack.append((forced, rest))
         stack.append((forced + (j,), rest))
 
-    sol = lambda_set(best_sup, qp.A, qp.t)
-    return _report(qp, d, sol, EXACT, node_count=node_count)
+    return _report(qp, d, best_sup, best, EXACT, node_count=node_count)
 
 
 def _pad_support(support, d: int, D: int) -> list[int]:
@@ -261,6 +265,6 @@ def _certified_upper_bound(qp: QuadProblem, d: int) -> float:
     over the full-sphere value only by rounding.
     """
     A, t = qp.A, qp.t
-    b1 = trs_max(A, t).value
+    b1 = _sphere_stack(A, t, [range(qp.dim)])[0][0]
     b2 = float(np.linalg.norm(t)) + d * float(np.max(np.diag(A)))
     return min(b1, b2)

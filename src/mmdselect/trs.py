@@ -11,14 +11,16 @@ orthogonal to the leading eigenspace and ``mu = lambda_max`` leaves
 positive, restores unit norm; ``t = 0`` is such a case.
 
 ``lambda_set`` restricts the oracle to a coordinate subset and re-embeds the
-maximizer, which is how every subset-selection routine scores a support.
-Both are the one-lane case of a stacked oracle that scores many supports of
-one ``(A, t)`` with one stacked ``eigh``.  Every lane, whatever its size and
-even for ``t = 0``, takes the same path through the secular branches and the
-certificate, so a support's answer is bit-identical whether it is scored
-alone or in a stack.  The certificate's tolerances are relative to the lane's scale
+maximizer.  Both check their ``(A, t)`` and are the one-lane case of a
+stacked oracle (``_sphere_stack``, ``_sphere_argmax``) that scores many
+supports of one checked ``(A, t)`` with one stacked ``eigh``; ``quad``'s
+solvers call it on a ``QuadProblem``, checked once when it was built.  Every lane, whatever its size and even for ``t = 0``,
+takes the same path through the secular branches and the certificate, so a
+support's answer is bit-identical whether it is scored alone or in a stack.
+The certificate's tolerances are relative to the lane's scale
 ``1 + max(||t||, |lambda(A)|)``, so the magnitude of the data does not decide
-whether a correct answer passes.  Greedy selection takes each round's argmax from the stack, solving only the lanes whose bound
+whether a correct answer passes.  Greedy selection takes each round's argmax
+from the stack, solving only the lanes whose bound
 ``lambda_max(A_S) + ||t_S||``, read from the stacked ``eigh``, can still
 reach the best value.
 """
@@ -169,14 +171,18 @@ def _secular(lam: np.ndarray, Q: np.ndarray, tt: np.ndarray, tnorm: float):
     return z, float(mu), hard
 
 
-def _oracle_input(A, t) -> tuple[np.ndarray, np.ndarray]:
-    """``A`` and ``t`` as float64 after the checks every oracle call makes:
-    finite entries, symmetric ``A`` (its symmetric part is used) and matching
-    dimensions."""
-    A = np.asarray(A, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64).reshape(-1)
+def _check_finite(A, t) -> None:
     if not (np.isfinite(A).all() and np.isfinite(t).all()):
         raise ValueError("A and t must be finite")
+
+
+def _oracle_input(A, t) -> tuple[np.ndarray, np.ndarray]:
+    """``A`` and ``t`` as float64 after the checks the oracle's input passes:
+    finite entries, symmetric ``A`` (its symmetric part is used) and matching
+    dimensions.  An exactly symmetric float64 ``A`` comes back as it is."""
+    A = np.asarray(A, dtype=np.float64)
+    t = np.asarray(t, dtype=np.float64).reshape(-1)
+    _check_finite(A, t)
     A = _check_symmetric(A, "A", 1e-10)
     if t.shape[0] != A.shape[0]:
         raise ValueError("t must match the dimension of A")
@@ -209,11 +215,13 @@ def _certified(A, t, z, mu: float, lam, value: float, tnorm: float) -> float:
 def _solve_lane(a, tv, lam, Q, tt):
     """Sphere maximum of one lane ``(a, tv)`` of any size, from its slice of
     a stacked ``eigh`` (``lam``, ``Q``) and ``tt = Q'tv``, with its own
-    certificate.  Returns ``(value, z, mu, kkt_residual, hard_case)``."""
-    tnorm = float(np.linalg.norm(tv))
-    z, mu, hard = _secular(lam, Q, tt, tnorm)
-    value = float(z @ a @ z + tv @ z)
-    return value, z, mu, _certified(a, tv, z, mu, lam, value, tnorm), hard
+    certificate.  Returns ``(value, z, mu, kkt_residual, hard_case)``.
+    Overflow stays silent: the certificate fails a lane that overflowed."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        tnorm = float(np.linalg.norm(tv))
+        z, mu, hard = _secular(lam, Q, tt, tnorm)
+        value = float(z @ a @ z + tv @ z)
+        return value, z, mu, _certified(a, tv, z, mu, lam, value, tnorm), hard
 
 
 def _eig_stack(As: np.ndarray, ts: np.ndarray):
@@ -224,15 +232,6 @@ def _eig_stack(As: np.ndarray, ts: np.ndarray):
     return lam, Q, (ts[:, None, :] @ Q)[:, 0, :]
 
 
-def _solve_stack(As: np.ndarray, ts: np.ndarray) -> list:
-    """Sphere maxima of the problems ``(As[i], ts[i])``, all of one size k,
-    one ``_solve_lane`` each on one stacked ``eigh``.  The inputs are taken
-    as validated.  Returns one ``(value, z, mu, kkt_residual, hard_case)``
-    tuple per lane."""
-    lam, Q, tts = _eig_stack(As, ts)
-    return [_solve_lane(As[i], ts[i], lam[i], Q[i], tts[i]) for i in range(len(ts))]
-
-
 # Sub-matrix entries one stacked call gathers at most (2 MiB of float64), so
 # a round's peak memory stays bounded however many supports it scores.
 _STACK_ENTRIES = 1 << 18
@@ -240,10 +239,9 @@ _STACK_ENTRIES = 1 << 18
 
 def _stacks(A, t, supports):
     """``(offset, As, ts)`` for consecutive stacks of ``supports``, sorted,
-    duplicate-free index rows of one length k: ``A`` and ``t`` are validated
-    once, and each stack gathers at most ``_STACK_ENTRIES`` sub-matrix
-    entries (or one support, if that is larger)."""
-    A, t = _oracle_input(A, t)
+    duplicate-free index rows of one length k, of a checked ``(A, t)`` (see
+    ``_oracle_input``); each stack gathers at most ``_STACK_ENTRIES``
+    sub-matrix entries (or one support, if that is larger)."""
     rows = np.asarray(supports, dtype=np.intp)
     k = rows.shape[1]
     step = max(1, _STACK_ENTRIES // (k * k))
@@ -253,13 +251,13 @@ def _stacks(A, t, supports):
 
 
 def _sphere_stack(A, t, supports) -> list:
-    """Oracle lanes of several supports of one ``(A, t)``, scored stack by
-    stack (see ``_stacks``).  Lane ``i`` equals
-    ``lambda_set(supports[i], A, t)`` before re-embedding (see
-    ``_embedded``)."""
+    """One ``_solve_lane`` tuple per support of one checked ``(A, t)``, stack
+    by stack (see ``_stacks``).  Lane ``i`` equals
+    ``lambda_set(supports[i], A, t)`` before re-embedding."""
     lanes = []
     for _, As, ts in _stacks(A, t, supports):
-        lanes += _solve_stack(As, ts)
+        lam, Q, tts = _eig_stack(As, ts)
+        lanes += [_solve_lane(As[i], ts[i], lam[i], Q[i], tts[i]) for i in range(len(ts))]
     return lanes
 
 
@@ -272,9 +270,10 @@ def _sphere_argmax(A, t, supports) -> tuple:
     stack's ``eigh``.  Each stack's lanes are solved in order of falling
     bound, until the next bound plus a margin for rounding in the eigenvalues
     and in a lane's value, ``1e-9 (1 + max |lambda(A_S)| + ||t_S||)``, falls
-    below the best value so far, which carries from stack to stack.  A bound that overflows or is NaN
-    counts as infinite, so its lane is solved first and its certificate is
-    checked.  A solved lane is bit-identical to its ``_sphere_stack`` lane."""
+    below the best value so far, which carries from stack to stack.  A bound
+    that overflows or is NaN counts as infinite, so its lane is solved first
+    and its certificate is checked.  A solved lane is bit-identical to its
+    ``_sphere_stack`` lane."""
     best, best_value, best_lane = -1, -math.inf, None
     for s, As, ts in _stacks(A, t, supports):
         lam, Q, tts = _eig_stack(As, ts)
@@ -293,18 +292,10 @@ def _sphere_argmax(A, t, supports) -> tuple:
     return best, best_lane
 
 
-def _embedded(D: int, idx, lane) -> TrsSolution:
-    """A support's lane as a ``TrsSolution`` in the ambient dimension ``D``."""
-    value, z_sub, mu, res, hard = lane
-    z = np.zeros(D)
-    z[idx] = z_sub
-    return TrsSolution(value, z, mu, res, hard)
-
-
 def trs_max(A: np.ndarray, t: np.ndarray) -> TrsSolution:
     """Global maximum of ``z'Az + t'z`` over the unit sphere."""
     A, t = _oracle_input(A, t)
-    return TrsSolution(*_solve_stack(A[None], t[None])[0])
+    return TrsSolution(*_sphere_stack(A, t, [range(t.shape[0])])[0])
 
 
 def lambda_set(S, A: np.ndarray, t: np.ndarray) -> TrsSolution:
@@ -312,12 +303,16 @@ def lambda_set(S, A: np.ndarray, t: np.ndarray) -> TrsSolution:
 
     The maximizer is re-embedded into the ambient dimension.
     """
+    A, t = _oracle_input(A, t)
     idx = sorted(int(i) for i in S)
     if not idx:
         raise ValueError("support must be non-empty")
-    D = np.asarray(t).shape[0]
+    D = t.shape[0]
     if idx[0] < 0 or idx[-1] >= D:
         raise ValueError("support indices outside the variable range")
     if len(set(idx)) != len(idx):
         raise ValueError("support contains repeated indices")
-    return _embedded(D, idx, _sphere_stack(A, t, [idx])[0])
+    value, z_sub, mu, res, hard = _sphere_stack(A, t, [idx])[0]
+    z = np.zeros(D)
+    z[idx] = z_sub
+    return TrsSolution(value, z, mu, res, hard)

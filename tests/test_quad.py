@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from mmdselect import quad, trs
 from mmdselect.core import (
     RandomSource,
     TwoSampleData,
@@ -20,6 +21,7 @@ from mmdselect.quad import (
     greedy_select,
     local_search,
 )
+from mmdselect.selectors import Selector
 from mmdselect.trs import lambda_set, trs_max
 
 from oracles import approximation_gap, brute_force_quad
@@ -44,6 +46,45 @@ def test_problem_rejects_asymmetric_or_non_square_matrix():
         QuadProblem(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
     with pytest.raises(ValueError, match="square"):
         QuadProblem(np.ones((2, 3)), np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["A", "t"])
+def test_problem_rejects_non_finite_entries(bad, where):
+    # a built problem is the sphere oracle's checked input, so neither
+    # constructor may hold a NaN or an infinity
+    A, t = np.eye(3), np.ones(3)
+    (A[1] if where == "A" else t)[1] = bad
+    for build in (QuadProblem, QuadProblem.from_matrices):
+        with pytest.raises(ValueError, match="finite"):
+            build(A, t)
+
+
+def test_solvers_take_the_problem_as_checked(monkeypatch):
+    # the problem checked its (A, t) when it was built: no solver checks it
+    # again, however many lanes it scores
+    gen = np.random.default_rng(5)
+    qp = psd_instance(gen, 7)
+    data = TwoSampleData(gen.standard_normal((12, 7)) + 0.3, gen.standard_normal((10, 7)))
+    calls = []
+    check = trs._oracle_input
+
+    def counted(A, t):
+        calls.append(1)
+        return check(A, t)
+
+    for module in (trs, quad):
+        monkeypatch.setattr(module, "_oracle_input", counted, raising=False)
+    greedy_select(qp, 3)
+    local_search(qp, 3, [0, 1, 2])
+    exact_select_bnb(qp, 3)
+    Selector("quad-relax", 3).select(data, KernelSpec.quadratic(1.0), RandomSource(0))
+    assert calls == []
+    # both patched bindings are live: the public oracle and the checked
+    # constructor still check their input
+    lambda_set([0], qp.A, qp.t)
+    QuadProblem(qp.A, qp.t)
+    assert calls == [1, 1]
 
 
 DIAG = QuadProblem(np.diag([5.0, 3.0, 1.0]), np.array([0.0, 2.0, 0.0]))
@@ -152,6 +193,7 @@ def test_bnb_full_budget_trivial():
 
 def test_bnb_matches_enumeration():
     gen = np.random.default_rng(33)
+    full = 0
     for _ in range(12):
         D = int(gen.integers(3, 9))
         d = int(gen.integers(1, min(3, D) + 1))
@@ -159,13 +201,21 @@ def test_bnb_matches_enumeration():
         rep = exact_select_bnb(qp, d)
         best, _ = brute_force_quad(qp.A, qp.t, d)
         assert rep.value == pytest.approx(best, rel=1e-8, abs=1e-8)
+        if len(rep.support) == d:
+            # the report carries the lane its support was scored by
+            full += 1
+            sol = lambda_set(rep.support, qp.A, qp.t)
+            assert rep.value == qp.report_value(sol.value)
+            assert np.array_equal(rep.z.z, make_selection(sol.z, d).z)
+    assert full > 0
 
 
 def test_bnb_dimension_cap():
+    # the cap is checked before anything is solved
     gen = np.random.default_rng(0)
-    qp = psd_instance(gen, 8)
-    with pytest.raises(ValueError, match="cap"):
-        exact_select_bnb(qp, 2, dim_cap=5)
+    qp = psd_instance(gen, 31)
+    with pytest.raises(ValueError, match="exceeds the exact-solver cap 30"):
+        exact_select_bnb(qp, 2)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
