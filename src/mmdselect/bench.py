@@ -1,7 +1,7 @@
 """Synthetic block-Gaussian generator, selection-quality metrics, and the
 power / type-I / recovery experiment drivers.
 
-Variables come in independent blocks of (by default) three coordinates; each
+Variables come in independent blocks of three coordinates; each
 block shares a mean drawn uniformly on the unit sphere and a covariance drawn
 from a Wishart distribution.  Only the first block is drawn separately for the
 two groups, so the ground-truth informative set is the first block.  Modes:
@@ -30,6 +30,7 @@ from .permutation import _shared_tests
 from .selectors import SOLVER_FAMILIES
 
 MODES = ("shift", "cov_shift", "null")
+_BLOCK_SIZE = 3  # coordinates per block
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class SynthSpec:
     m: int
     wishart_df: int = 3
     mode: str = "shift"
-    block_size: int = 3
     seed: RandomSource = field(default_factory=lambda: RandomSource(0))
 
     def __post_init__(self):
@@ -47,12 +47,12 @@ class SynthSpec:
             raise ValueError("blocks and sample sizes must be positive")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.wishart_df < self.block_size:
+        if self.wishart_df < _BLOCK_SIZE:
             raise ValueError("wishart_df must be at least the block size")
 
     @property
     def dim(self) -> int:
-        return self.blocks * self.block_size
+        return self.blocks * _BLOCK_SIZE
 
 
 def wishart_sample(dim: int, df: int, gen: np.random.Generator) -> np.ndarray:
@@ -80,7 +80,7 @@ def _sphere_point(dim: int, gen: np.random.Generator) -> np.ndarray:
 def block_parameters(spec: SynthSpec, param_gen: np.random.Generator):
     """Per-block (mean, covariance) pairs for the two groups.  Under the null
     mode both groups reference the same parameter objects in every block."""
-    b = spec.block_size
+    b = _BLOCK_SIZE
     px, py = [], []
     for blk in range(spec.blocks):
         mu = _sphere_point(b, param_gen)
@@ -101,7 +101,7 @@ def block_parameters(spec: SynthSpec, param_gen: np.random.Generator):
 def synth_block_gaussian(spec: SynthSpec) -> tuple[TwoSampleData, tuple]:
     """Generate one dataset; returns it with the true informative index set
     (empty under the null mode)."""
-    b = spec.block_size
+    b = _BLOCK_SIZE
     param_gen = derive_stream(spec.seed, 0).generator()
     sample_gen = derive_stream(spec.seed, 1).generator()
     px, py = block_parameters(spec, param_gen)
@@ -269,10 +269,11 @@ def _main_for_workers():
 
 def _trial_pool(processes: int):
     """The process pool of this process for ``processes`` workers, built on
-    first use and kept for later sweeps; a pool of another size is shut
-    down first.  A forked child builds its own pool."""
+    first use and kept for later sweeps; a pool of another size, or one that
+    a worker's death broke while it sat idle, is shut down first.  A forked
+    child builds its own pool."""
     global _pool
-    if _pool is not None and _pool[0] == processes:
+    if _pool is not None and _pool[0] == processes and not _pool[1]._broken:
         return _pool[1]
     _close_pool()
     main = sys.modules["__main__"]

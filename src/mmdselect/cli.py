@@ -291,8 +291,6 @@ def _cmd_bench(args, kind: str) -> dict:
     if kind == "bench-power":
         summary = bench.run_power_experiment(config)
     else:
-        if args.mode == "null":
-            raise UsageError("bench-recovery needs a non-null generator mode")
         summary = bench.run_recovery_experiment(config)
     if args.table:
         with open(args.table, "w", encoding="utf-8") as fh:

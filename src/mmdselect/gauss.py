@@ -74,31 +74,29 @@ class GaussianPairTerms:
         s = (qu[:, None] + qv[None, :] - 2.0 * ZU @ V.T) / (2.0 * self.gamma)
         return np.maximum(s, 0.0)  # quadratic form of PSD Z, clip roundoff
 
-    def exp_tables(self, Z: np.ndarray):
-        """exp(-<Z, M_uv>) for the xx, yy and xy blocks."""
-        Exx = np.exp(-self._exponents(self.X, self.X, Z))
-        Eyy = np.exp(-self._exponents(self.Y, self.Y, Z))
-        Exy = np.exp(-self._exponents(self.X, self.Y, Z))
-        return Exx, Eyy, Exy
-
-    @staticmethod
-    def _weighted_outer_within(U: np.ndarray, E: np.ndarray) -> np.ndarray:
-        # sum_ij E_ij (u_i - u_j)(u_i - u_j)' for symmetric E
+    def _within(self, U: np.ndarray, Z: np.ndarray, count: int) -> tuple[float, np.ndarray]:
+        """Sum of one within-group table ``exp(-<Z, M_uu>)`` and its term
+        ``1/count^2 sum_ij E_ij M_uu`` of the linearized gradient."""
+        E = np.exp(-self._exponents(U, U, Z))
         r = E.sum(axis=1)
-        return 2.0 * ((U.T * r) @ U - U.T @ E @ U)
+        # sum_ij E_ij (u_i - u_j)(u_i - u_j)' for symmetric E
+        G = 2.0 * ((U.T * r) @ U - U.T @ E @ U) / (2.0 * self.gamma) / count**2
+        return float(E.sum()), G
+
+    def linearize(self, Z: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(F(Z), within_grad_at(Z))`` in one pass over the xx, yy and xy
+        tables, each reduced to its sum (and gradient term) before the next
+        is built."""
+        sxx, Gx = self._within(self.X, Z, self.n)
+        syy, Gy = self._within(self.Y, Z, self.m)
+        sxy = float(np.exp(-self._exponents(self.X, self.Y, Z)).sum())
+        n, m = self.n, self.m
+        return 2.0 * sxy / (n * m) - sxx / (n * n) - syy / (m * m), Gx + Gy
 
     def within_grad_at(self, Z0: np.ndarray) -> np.ndarray:
         """Gradient of the (linearized) within-group part, constant in Z:
         ``1/n^2 sum e0_xx M_xx + 1/m^2 sum e0_yy M_yy`` evaluated at Z0."""
-        Exx = np.exp(-self._exponents(self.X, self.X, Z0))
-        Eyy = np.exp(-self._exponents(self.Y, self.Y, Z0))
-        return self._within_grad(Exx, Eyy)
-
-    def _within_grad(self, Exx: np.ndarray, Eyy: np.ndarray) -> np.ndarray:
-        """``within_grad_at`` from the xx and yy tables of ``exp_tables``."""
-        Gx = self._weighted_outer_within(self.X, Exx) / (2.0 * self.gamma) / self.n**2
-        Gy = self._weighted_outer_within(self.Y, Eyy) / (2.0 * self.gamma) / self.m**2
-        return Gx + Gy
+        return self.linearize(Z0)[1]
 
     def cross_grad_full(self, Z: np.ndarray) -> np.ndarray:
         """Exact gradient of the cross term ``2/(nm) sum e^{-<Z, M_xy>}``."""
@@ -146,18 +144,7 @@ def gauss_objective(Z, data: TwoSampleData, gamma: float) -> float:
     For a rank-1 projector ``Z = z z'`` this equals minus the empirical
     squared MMD of the gaussian kernel at the same bandwidth.
     """
-    terms = GaussianPairTerms(data, gamma)
-    return _objective(terms, *terms.exp_tables(_as_matrix(Z)))
-
-
-def _objective(terms: GaussianPairTerms, Exx, Eyy, Exy) -> float:
-    """``gauss_objective`` from the tables of ``terms.exp_tables``."""
-    n, m = terms.n, terms.m
-    return (
-        2.0 * float(Exy.sum()) / (n * m)
-        - float(Exx.sum()) / (n * n)
-        - float(Eyy.sum()) / (m * m)
-    )
+    return GaussianPairTerms(data, gamma).linearize(_as_matrix(Z))[0]
 
 
 def extract_selection(Z, d: int) -> SelectionVector:
@@ -243,8 +230,7 @@ def write_trajectory(path: str, trajectory) -> None:
             )
 
 
-def _trace_point(outer, Z, terms, tables, lam, gap) -> CcpTracePoint:
-    F = _objective(terms, *tables)
+def _trace_point(outer, Z, F, lam, gap) -> CcpTracePoint:
     l1 = float(np.abs(Z).sum())
     lead = float(np.linalg.eigvalsh(Z)[-1])
     return CcpTracePoint(outer, F + lam * l1, F, lam * l1, l1, lead, gap)
@@ -271,13 +257,12 @@ def ccp_select(data: TwoSampleData, cfg: GaussConfig, d: int) -> CcpResult:
     terms = GaussianPairTerms(data, cfg.gamma)
     point = SpectraPoint.identity(D)
     radius = entropy_radius(D)
-    tables = terms.exp_tables(point.Z)  # shared by a trace point and the next linearization
-    traj = [_trace_point(0, point.Z, terms, tables, cfg.lam, 0.0)]
+    F, within = terms.linearize(point.Z)  # a trace point and the next linearization
+    traj = [_trace_point(0, point.Z, F, cfg.lam, 0.0)]
     gap = 0.0
     base_rule = prop1_step_rule(max(cfg.T_in, 1), radius)
     rule = lambda t, rm: 2.0 * base_rule(t, rm)  # twice the Proposition 1 step
     for outer in range(1, cfg.T_out + 1):
-        within = terms._within_grad(*tables[:2])
         oracle = partial(terms.surrogate_grad, within=within, lam=cfg.lam, batch=cfg.batch)
         stats = SmdStats()
         point = smd_run(
@@ -285,8 +270,8 @@ def ccp_select(data: TwoSampleData, cfg: GaussConfig, d: int) -> CcpResult:
         )
         # inner optimality gap estimate at kappa = 1/2: M sqrt(4 V / T)
         gap = 2.0 * max(stats.grad_norm_max, 1e-12) * float(np.sqrt(radius / max(cfg.T_in, 1)))
-        tables = terms.exp_tables(point.Z)
-        traj.append(_trace_point(outer, point.Z, terms, tables, cfg.lam, gap))
+        F, within = terms.linearize(point.Z)
+        traj.append(_trace_point(outer, point.Z, F, cfg.lam, gap))
     selection = extract_selection(point, d)
     if abs(traj[-1].mmd_part) < 1e-6:
         selection = SelectionVector(selection.z, d, no_signal=True)

@@ -148,20 +148,20 @@ def mmd_sq(spec: KernelSpec, z, data: TwoSampleData) -> float:
 
     Exactly symmetric under swapping the groups.  The linear and quadratic
     statistics come from support moments (:func:`moment_mmd_sq`, with which
-    ``permutation_test`` scores its relabelings).  The gaussian one sums Gram
-    blocks, accumulating the cross sum in both storage orders and averaging,
-    so (X, Y) and (Y, X) produce the same floating-point value.
+    ``permutation_test`` scores its relabelings).  The gaussian one sums each
+    Gram block as it is built, the cross block in both storage orders and
+    averaged, so (X, Y) and (Y, X) produce the same floating-point value.
     """
     n, m = data.n, data.m
     if spec.family != GAUSSIAN:
         F, w = moment_features(spec, z, np.vstack([data.X, data.Y]))
         base = np.arange(n + m)
         return float(moment_mmd_sq(F, w, base[None, :n], base[None, n:])[0])
-    Gxx = gram(spec, z, data.X, data.X)
-    Gyy = gram(spec, z, data.Y, data.Y)
+    sxx = float(np.sum(gram(spec, z, data.X, data.X)))
+    syy = float(np.sum(gram(spec, z, data.Y, data.Y)))
     Gxy = gram(spec, z, data.X, data.Y)
     cross = 0.5 * (float(np.sum(Gxy)) + float(np.sum(np.ascontiguousarray(Gxy.T))))
-    return float(np.sum(Gxx)) / (n * n) + float(np.sum(Gyy)) / (m * m) - 2.0 * cross / (n * m)
+    return sxx / (n * n) + syy / (m * m) - 2.0 * cross / (n * m)
 
 
 # Entries of the squared-distance matrix that one block of the median

@@ -39,16 +39,6 @@ def kernel_for_solver(solver: str, bandwidth: float | None = None) -> KernelSpec
     return KernelSpec(family, None if family == LINEAR else bandwidth)
 
 
-def check_compatible(solver: str, kernel: KernelSpec) -> None:
-    if solver not in SOLVER_FAMILIES:
-        raise ValueError(f"unknown solver {solver!r}")
-    if SOLVER_FAMILIES[solver] != kernel.family:
-        raise ValueError(
-            f"solver {solver!r} requires the {SOLVER_FAMILIES[solver]} kernel, "
-            f"got {kernel.family}"
-        )
-
-
 @dataclass(frozen=True)
 class Selector:
     """Budgeted selection strategy.  ``options`` tunes the gauss-ccp solver
@@ -79,7 +69,11 @@ class Selector:
     ) -> tuple[SelectionVector, dict]:
         """Run the solver and also return reportable diagnostics (method,
         bounds, node counts, trajectory)."""
-        check_compatible(self.name, kernel)
+        if SOLVER_FAMILIES[self.name] != kernel.family:
+            raise ValueError(
+                f"solver {self.name!r} requires the {SOLVER_FAMILIES[self.name]} kernel, "
+                f"got {kernel.family}"
+            )
         d = self.d
         if self.name == "linear":
             selection, objective = linear_select(linear_coefficients(train), d)

@@ -2,6 +2,7 @@ import functools
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -387,6 +388,19 @@ def test_sweep_after_a_broken_pool_starts_fresh_workers():
     after = _pool_pids()
     assert len(after) == 2 and after.isdisjoint(before)
     assert set(rows) <= after
+
+
+def test_a_worker_that_dies_while_idle_does_not_fail_the_next_sweep():
+    from mmdselect import bench
+
+    cfg = small_config(trials=4, workers=2)
+    first = run_power_experiment(cfg).to_dict()
+    os.kill(min(_pool_pids()), signal.SIGKILL)
+    deadline = time.monotonic() + 10.0
+    while not bench._pool[1]._broken and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert bench._pool[1]._broken  # the pool has seen its worker die
+    assert run_power_experiment(cfg).to_dict() == first
 
 
 def test_failed_sweep_leaves_no_queued_trials(tmp_path):

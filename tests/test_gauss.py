@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +240,22 @@ def test_ccp_deterministic():
     r2 = ccp_select(data, cfg, 2)
     assert np.array_equal(r1.Z.Z, r2.Z.Z)
     assert r1.selection.support == r2.selection.support
+
+
+@pytest.mark.parametrize("batch", [64, 300 * 300])
+def test_ccp_holds_at_most_two_pair_tables(batch):
+    # each n x m exponent table is reduced to its sums before the next one
+    # is built; keeping all three alive peaked at about 7 tables
+    gen = np.random.default_rng(59)
+    data = rand_data(gen, 300, 300, 6, shift=0.3)
+    cfg = GaussConfig(gamma=3.0, T_out=1, T_in=2, batch=batch, rng=RandomSource(0))
+    tracemalloc.start()
+    try:
+        ccp_select(data, cfg, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 300 * 300 * 8
 
 
 def test_lambda_grid_singleton():

@@ -160,6 +160,19 @@ def test_cross_module_identity_gauss_objective():
         assert F == pytest.approx(-s2, abs=1e-10)
 
 
+def test_gaussian_mmd_sq_sums_each_gram_block_as_it_is_built():
+    # holding the three Gram blocks at once peaked at about 4 tables
+    gen = np.random.default_rng(61)
+    data = TwoSampleData(gen.standard_normal((300, 6)), gen.standard_normal((300, 6)) + 0.3)
+    tracemalloc.start()
+    try:
+        mmd_sq(KernelSpec.gaussian(3.0), sel([1.0, 1.0, 0, 0, 0, 0]), data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 300 * 300 * 8
+
+
 def test_median_heuristic_values():
     one = TwoSampleData(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
     assert median_heuristic(one) == 1.0
