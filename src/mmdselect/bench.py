@@ -148,6 +148,8 @@ class ExperimentConfig:
     corrected: bool = False
 
     def __post_init__(self):
+        if not self.selectors:
+            raise ValueError("selectors must name at least one solver")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.workers < 1:
@@ -222,6 +224,7 @@ def _pin_one_blas_thread() -> None:
 
 _POOL_LOCK = threading.Lock()
 _pool = None  # (processes, executor) of the last pool sweep
+_pool_returned = False  # whether that pool has returned a trial
 
 
 @atexit.register
@@ -272,10 +275,11 @@ def _trial_pool(processes: int):
     first use and kept for later sweeps; a pool of another size, or one that
     a worker's death broke while it sat idle, is shut down first.  A forked
     child builds its own pool."""
-    global _pool
+    global _pool, _pool_returned
     if _pool is not None and _pool[0] == processes and not _pool[1]._broken:
         return _pool[1]
     _close_pool()
+    _pool_returned = False
     main = sys.modules["__main__"]
     path = getattr(main, "__file__", None)
     if getattr(main, "__spec__", None) is None and path is not None and not os.path.isfile(path):
@@ -304,6 +308,7 @@ def _pool_map(fn, trials: int, processes: int) -> list:
     ``processes`` trials behind on the shared pool: on the first failure it
     submits nothing more, cancels what has not started and re-raises.  A
     broken pool is dropped from the cache, so the next sweep starts afresh."""
+    global _pool_returned
     from concurrent.futures import FIRST_COMPLETED, wait
     from concurrent.futures.process import BrokenProcessPool
 
@@ -319,13 +324,14 @@ def _pool_map(fn, trials: int, processes: int) -> list:
                 done, _ = wait(running, return_when=FIRST_COMPLETED)
                 for fut in done:
                     rows[running.pop(fut)] = fut.result()
+                    _pool_returned = True
                     t = next(todo, None)
                     if t is not None:
                         running[pool.submit(fn, t)] = t
         except BrokenProcessPool as exc:
             _close_pool()
             main = _main_for_workers()
-            if main is None:
+            if main is None or _pool_returned:  # a returned trial: the workers started
                 raise
             raise BrokenProcessPool(
                 f"{exc} Each worker re-runs the main module {main!r} before its first "

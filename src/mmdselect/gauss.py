@@ -24,7 +24,7 @@ import numpy as np
 from .core import RandomSource, SelectionVector, TwoSampleData, derive_stream, make_selection
 from .core import _one_blas_thread
 from .mmd import KernelSpec, mmd_sq
-from .spectrahedron import SmdStats, SpectraPoint, entropy_radius, prop1_step_rule, smd_run
+from .spectrahedron import SpectraPoint, entropy_radius, smd_run
 
 DEFAULT_LAMBDA_GRID = (0.0, 0.01, 0.05, 0.1, 0.5)
 
@@ -44,8 +44,8 @@ class GaussConfig:
     def __post_init__(self):
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        if self.lam < 0:
-            raise ValueError("l1 weight must be nonnegative")
+        if not all(0.0 <= lam < np.inf for lam in (self.lam, *self.lambda_grid)):
+            raise ValueError("l1 weights (lam, lambda_grid) must be finite and nonnegative")
         if self.T_out < 1 or self.T_in < 0 or self.batch < 1:
             raise ValueError("iteration counts must be positive (T_in may be 0)")
 
@@ -259,17 +259,11 @@ def ccp_select(data: TwoSampleData, cfg: GaussConfig, d: int) -> CcpResult:
     radius = entropy_radius(D)
     F, within = terms.linearize(point.Z)  # a trace point and the next linearization
     traj = [_trace_point(0, point.Z, F, cfg.lam, 0.0)]
-    gap = 0.0
-    base_rule = prop1_step_rule(max(cfg.T_in, 1), radius)
-    rule = lambda t, rm: 2.0 * base_rule(t, rm)  # twice the Proposition 1 step
     for outer in range(1, cfg.T_out + 1):
         oracle = partial(terms.surrogate_grad, within=within, lam=cfg.lam, batch=cfg.batch)
-        stats = SmdStats()
-        point = smd_run(
-            oracle, point, cfg.T_in, step_rule=rule, rng=derive_stream(cfg.rng, outer), stats=stats
-        )
+        point, M = smd_run(oracle, point, cfg.T_in, derive_stream(cfg.rng, outer))
         # inner optimality gap estimate at kappa = 1/2: M sqrt(4 V / T)
-        gap = 2.0 * max(stats.grad_norm_max, 1e-12) * float(np.sqrt(radius / max(cfg.T_in, 1)))
+        gap = 2.0 * max(M, 1e-12) * float(np.sqrt(radius / max(cfg.T_in, 1)))
         F, within = terms.linearize(point.Z)
         traj.append(_trace_point(outer, point.Z, F, cfg.lam, gap))
     selection = extract_selection(point, d)

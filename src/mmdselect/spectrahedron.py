@@ -1,9 +1,10 @@
-"""First-order optimization over the set of PSD matrices with fixed trace.
+"""First-order optimization over the spectrahedron: the PSD matrices of
+trace one.
 
 The mirror map is the von Neumann entropy, so a step multiplies the iterate by
 a matrix exponential in the eigenbasis and renormalizes the trace:
 
-    Y = exp(log Z - step * G),   Z+ = tau * Y / tr(Y).
+    Y = exp(log Z - step * G),   Z+ = Y / tr(Y).
 
 ``smd_run`` iterates this update with stochastic gradient draws and returns
 the uniform average of the iterates, the estimator the convergence rate is
@@ -20,13 +21,13 @@ import numpy as np
 from .core import RandomSource, _check_symmetric
 from .core import _freeze as _freeze_input
 
-# eigenvalues are floored at this fraction of the trace before taking logs
+# eigenvalues are floored at this value before taking logs
 _LOG_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class SpectraPoint:
-    """Symmetric PSD matrix with fixed trace ``tau``.
+    """Symmetric PSD matrix of trace one.
 
     The constructor validates ``Z``.  Points built by ``mirror_step`` and
     ``smd_run`` are feasible by construction and skip that check; a mirror
@@ -35,29 +36,25 @@ class SpectraPoint:
     """
 
     Z: np.ndarray
-    tau: float = 1.0
     _eig: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Z = _freeze_input(_check_symmetric(self.Z, "Z", 1e-10))
-        if not self.tau > 0:
-            raise ValueError("trace target must be positive")
-        w = np.linalg.eigvalsh(Z)
-        if float(w[0]) < -1e-9 * max(1.0, self.tau):
+        if float(np.linalg.eigvalsh(Z)[0]) < -1e-9:
             raise ValueError("Z must be positive semidefinite")
-        if abs(float(np.trace(Z)) - self.tau) > 1e-9 * max(1.0, self.tau):
-            raise ValueError("trace of Z must equal tau")
+        if abs(float(np.trace(Z)) - 1.0) > 1e-9:
+            raise ValueError("trace of Z must equal 1")
         object.__setattr__(self, "Z", Z)
 
     @classmethod
-    def _built(cls, Z: np.ndarray, tau: float, eig=None) -> "SpectraPoint":
+    def _built(cls, Z: np.ndarray, eig=None) -> "SpectraPoint":
         """A point this module computed, taken without validation; ``eig`` is
         ``(w, U)`` with ``Z = U diag(w) U'`` up to rounding."""
         p = object.__new__(cls)
         for a in (Z,) if eig is None else (Z, *eig):
             a.flags.writeable = False
-        for name, value in (("Z", Z), ("tau", tau), ("_eig", eig)):
-            object.__setattr__(p, name, value)
+        object.__setattr__(p, "Z", Z)
+        object.__setattr__(p, "_eig", eig)
         return p
 
     @property
@@ -69,9 +66,9 @@ class SpectraPoint:
         return self._eig if self._eig is not None else np.linalg.eigh(self.Z)
 
     @classmethod
-    def identity(cls, k: int, tau: float = 1.0) -> "SpectraPoint":
-        p = cls(np.eye(k) * (tau / k), tau=tau)
-        return cls._built(p.Z, p.tau, (np.full(k, tau / k), np.eye(k)))
+    def identity(cls, k: int) -> "SpectraPoint":
+        """The maximum-entropy point ``I / k``, carrying its eigenpairs."""
+        return cls._built(np.eye(k) * (1.0 / k), (np.full(k, 1.0 / k), np.eye(k)))
 
 
 def spectral_norm(G: np.ndarray) -> float:
@@ -139,7 +136,7 @@ def _norm_at_most(G: np.ndarray, r: float) -> bool:
 def mirror_step(p: SpectraPoint, G: np.ndarray, step: float) -> SpectraPoint:
     """One entropic step against gradient ``G`` (descent direction).
 
-    ``Z+ = U2 diag(e) U2' * tau / tr`` with ``(e, U2)`` from ``eigh(H)``, so the
+    ``Z+ = U2 diag(e) U2' / tr`` with ``(e, U2)`` from ``eigh(H)``, so the
     step returns ``Z+`` with those eigenpairs and decomposes only ``H``.
     """
     G = _check_symmetric(G, "gradient", 1e-8)
@@ -152,88 +149,54 @@ def _mirror_step(p: SpectraPoint, G: np.ndarray, step: float) -> SpectraPoint:
     """``mirror_step`` for a gradient already checked: symmetric, of the
     point's dimension."""
     w, U = p.eigenpairs()
-    logZ = (U * np.log(np.maximum(w, _LOG_FLOOR * p.tau))) @ U.T
+    logZ = (U * np.log(np.maximum(w, _LOG_FLOOR))) @ U.T
     H = logZ - step * G
     H = 0.5 * (H + H.T)
     w2, U2 = np.linalg.eigh(H)
     e = np.exp(w2 - float(np.max(w2)))  # shift-invariant after trace renorm
     Y = (U2 * e) @ U2.T
     Y = 0.5 * (Y + Y.T)
-    c = p.tau / float(np.trace(Y))
-    return SpectraPoint._built(Y * c, p.tau, (e * c, U2))
+    c = 1.0 / float(np.trace(Y))
+    return SpectraPoint._built(Y * c, (e * c, U2))
 
 
-def entropy_radius(k: int, tau: float = 1.0) -> float:
-    """Upper bound on the divergence from the scaled identity to any feasible
-    point; the usual start ``Z = tau I / k`` gives at most ``tau log k``."""
-    return tau * float(np.log(max(k, 2)))
-
-
-def prop1_step_rule(T: int, radius: float, m_star: float | None = None):
-    """Constant step ``sqrt(2 kappa V / (T M^2))`` with ``kappa = 1/2``.
-
-    When ``m_star`` is unknown it is replaced by twice the running maximum of
-    observed gradient operator norms.
-    """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-
-    def rule(t: int, running_max: float) -> float:
-        m = m_star if m_star is not None else 2.0 * max(running_max, 1e-12)
-        return float(np.sqrt(radius / T) / m)
-
-    return rule
-
-
-@dataclass
-class SmdStats:
-    """What ``smd_run`` saw: the largest gradient spectral norm, the ``M`` of
-    the step rule and of the optimality-gap bound."""
-
-    grad_norm_max: float = 0.0
+def entropy_radius(k: int) -> float:
+    """``log max(k, 2)``, a bound on the divergence from ``I / k`` to any point."""
+    return float(np.log(max(k, 2)))
 
 
 def smd_run(
-    grad_oracle,
-    p0: SpectraPoint,
-    T_in: int,
-    step_rule=None,
-    rng: RandomSource | None = None,
-    stats: SmdStats | None = None,
-) -> SpectraPoint:
-    """Averaged stochastic mirror descent from ``p0``.
+    grad_oracle, p0: SpectraPoint, T_in: int, rng: RandomSource
+) -> tuple[SpectraPoint, float]:
+    """Averaged stochastic mirror descent from ``p0``: the uniform average of
+    the ``T_in`` iterates, trace-renormalized, and ``M``, the largest gradient
+    norm seen; ``(p0, 0.0)`` when ``T_in = 0``.
 
-    ``grad_oracle(Z, gen)`` must return a symmetric matrix estimating a
-    (sub)gradient at ``Z``; draws come from the generator spawned off ``rng``.
-    Returns the uniform average of the ``T_in`` iterates, trace-renormalized.
-    ``T_in = 0`` returns the start point unchanged.  A step checks the
-    gradient once, decomposes it at most once and ``H`` once (``eigh``): the
+    ``grad_oracle(Z, gen)`` returns a symmetric (sub)gradient estimate at
+    ``Z``, drawing from ``rng``'s generator.  Step ``t`` is ``sqrt(V / T_in) /
+    max(M_t, 1e-12)``, ``V = entropy_radius(D)``, ``M_t`` the running maximum.
+    A step checks the gradient once and decomposes ``H`` once (``eigh``); the
     gradient's norm (``eigvalsh``) is computed only when ``_norm_at_most``
-    cannot prove that it stays at or below the running maximum, which the
-    step rule sees, so the maximum and every step are what they would be with
-    the norm computed on every step.  ``stats``, when given, records the
-    largest norm.
+    cannot prove it at or below ``M_{t-1}``, so every ``M_t`` and step are
+    what computing it on every step would give.
     """
     if T_in < 0:
         raise ValueError("T_in must be >= 0")
     if T_in == 0:
-        return p0
-    if step_rule is None:
-        step_rule = prop1_step_rule(T_in, entropy_radius(p0.dim, p0.tau))
-    gen = (rng or RandomSource(0)).generator()
+        return p0, 0.0
+    scale = math.sqrt(entropy_radius(p0.dim) / T_in)
+    gen = rng.generator()
     point = p0
     acc = np.zeros_like(p0.Z)
     running_max = 0.0
-    for t in range(1, T_in + 1):
+    for _ in range(T_in):
         G = _check_symmetric(grad_oracle(point.Z, gen), "gradient", 1e-8)
         if G.shape[0] != p0.dim:
             raise ValueError("gradient dimension mismatch")
         if not _norm_at_most(G, running_max):
             running_max = max(running_max, spectral_norm(G))
-        point = _mirror_step(point, G, float(step_rule(t, running_max)))
+        point = _mirror_step(point, G, scale / max(running_max, 1e-12))
         acc += point.Z
-    if stats is not None:
-        stats.grad_norm_max = max(stats.grad_norm_max, running_max)
     avg = acc / T_in  # iterates are exactly symmetric, so is their sum
-    avg *= p0.tau / float(np.trace(avg))
-    return SpectraPoint._built(avg, p0.tau)
+    avg *= 1.0 / float(np.trace(avg))
+    return SpectraPoint._built(avg), running_max

@@ -332,18 +332,16 @@ def kernel_eval(spec, z, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def bregman(p1, p2) -> float:
-    """Von Neumann divergence ``tr(X log X - X log Y)`` of two equal-trace
+    """Von Neumann divergence ``tr(X log X - X log Y)`` of two
     ``SpectraPoint``s, with eigenvalues floored as the mirror step floors
     them before taking logs."""
     if p1.dim != p2.dim:
         raise ValueError("dimension mismatch")
-    if abs(p1.tau - p2.tau) > 1e-12 * max(1.0, p1.tau):
-        raise ValueError("trace targets must agree")
     w1, _ = p1.eigenpairs()
-    w1f = np.maximum(w1, spectrahedron._LOG_FLOOR * p1.tau)
+    w1f = np.maximum(w1, spectrahedron._LOG_FLOOR)
     term1 = float(np.sum(w1f * np.log(w1f)))
     w2, U2 = p2.eigenpairs()
-    logY = (U2 * np.log(np.maximum(w2, spectrahedron._LOG_FLOOR * p2.tau))) @ U2.T
+    logY = (U2 * np.log(np.maximum(w2, spectrahedron._LOG_FLOOR))) @ U2.T
     return term1 - float(np.sum(p1.Z * logY))
 
 

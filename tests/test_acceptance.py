@@ -30,9 +30,7 @@ from mmdselect.quad import (
 from mmdselect.selectors import Selector
 from mmdselect.spectrahedron import (
     SpectraPoint,
-    entropy_radius,
     mirror_step,
-    prop1_step_rule,
     smd_run,
 )
 from mmdselect.trs import trs_max
@@ -322,8 +320,7 @@ def test_criterion_11_spectrahedron_engine():
         feasible.append(Z)
         return C
 
-    rule = prop1_step_rule(2000, entropy_radius(2), m_star=1.0)
-    out = smd_run(oracle, SpectraPoint.identity(2), 2000, rule, RandomSource(0))
+    out, _ = smd_run(oracle, SpectraPoint.identity(2), 2000, RandomSource(0))
     off_target = float(out.Z[0, 0])
     feas_ok = all(
         float(np.linalg.eigvalsh(Z)[0]) >= -1e-9 and abs(np.trace(Z) - 1.0) <= 1e-9

@@ -3,7 +3,10 @@ configuration objects, and the options a ``Selector`` takes.  Adding or
 removing one of them is a deliberate edit of this file."""
 
 import dataclasses
+import importlib
+import importlib.util
 import types
+from pathlib import Path
 
 import pytest
 
@@ -64,3 +67,27 @@ def test_selector_accepts_its_options_for_every_solver():
     for solver in SOLVER_FAMILIES:
         assert Selector(solver, 3, options).options == options
 
+
+def _span_targets(spans):
+    """The functions ``perfbench/spans.py`` traces, as bound now."""
+    found = []
+    for mod_name, path, _, _ in spans.TARGETS:
+        obj = importlib.import_module("mmdselect." + mod_name)
+        for attr in path.split("."):
+            obj = getattr(obj, attr)
+        found.append(obj)
+    return found
+
+
+def test_benchmark_tracer_finds_and_restores_every_span_target():
+    # the benchmark's tracer wraps these names: renaming one breaks `--trace 1`
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    before = _span_targets(spans)
+    with spans.Tracer().installed():
+        inside = _span_targets(spans)
+    after = _span_targets(spans)
+    assert all(w is not f and w.__wrapped__ is f for w, f in zip(inside, before))
+    assert all(a is f for a, f in zip(after, before))

@@ -498,6 +498,21 @@ run_power_experiment(ExperimentConfig(
 """
 
 
+_GUARDED_DYING_SWEEP = """
+import os, time
+from mmdselect.bench import _map_trials
+
+def die_on_one(t):
+    if t == 1:
+        time.sleep(0.5)  # trial 0 has come back by now
+        os._exit(3)
+    return t
+
+if __name__ == "__main__":
+    _map_trials(die_on_one, 4, 2)
+"""
+
+
 def _last_error_line(argv, tmp_path, exception, **kw):
     """The last stderr line that starts with ``exception``: the traceback's
     last line, which a ``resource_tracker`` warning about leaked semaphores
@@ -528,3 +543,14 @@ def test_unguarded_script_names_the_main_guard(tmp_path):
     )
     assert last.startswith("concurrent.futures.process.BrokenProcessPool:")
     assert str(script) in last and 'if __name__ == "__main__":' in last
+
+
+def test_worker_death_after_a_returned_trial_names_no_main_guard(tmp_path):
+    # the workers started, so the guard hint would send the user the wrong way
+    script = tmp_path / "guarded.py"
+    script.write_text(_GUARDED_DYING_SWEEP)
+    last = _last_error_line(
+        [sys.executable, str(script)], tmp_path, "concurrent.futures.process.BrokenProcessPool:"
+    )
+    assert "terminated abruptly" in last
+    assert str(script) not in last and "__main__" not in last

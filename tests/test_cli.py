@@ -142,6 +142,20 @@ def test_lam_with_a_non_gauss_solver_is_ignored(csv_pair, tmp_path):
     assert plain["selection"] == with_lam["selection"]
 
 
+@pytest.mark.parametrize(
+    "flag", [["--lam", "nan"], ["--lam", "inf"], ["--lam", "-1"], ["--lambda-grid", "nan,0.1"]],
+    ids=["lam-nan", "lam-inf", "lam-negative", "grid-nan"],
+)
+def test_select_gauss_bad_l1_weight_exits_2(flag, csv_pair, capsys, recwarn):
+    px, py = csv_pair
+    code = dispatch(["select", "--solver", "gauss-ccp", "--d", "2", "--x", px, "--y", py, *flag])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: l1 weights (lam, lambda_grid) must be finite and nonnegative\n"
+    )
+    assert [str(w.message) for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+
+
 def test_test_subcommand_deterministic(csv_pair, tmp_path):
     px, py = csv_pair
     args = ["test", "--solver", "linear", "--d", "2", "--x", px, "--y", py,
@@ -343,6 +357,18 @@ def test_bench_unknown_selector_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert capsys.readouterr().err == "error: unknown solver 'nope'\n"
+
+
+@pytest.mark.parametrize(
+    "command, selectors", [("bench-power", ","), ("bench-recovery", " ")], ids=["comma", "blank"]
+)
+def test_bench_empty_selector_list_exits_2(command, selectors, capsys):
+    code = dispatch(
+        [command, "--blocks", "2", "--n", "12", "--m", "12",
+         "--selectors", selectors, "--d", "2", "--trials", "1"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: selectors must name at least one solver\n"
 
 
 def test_select_quad_exact_diagnostics(csv_pair, tmp_path):

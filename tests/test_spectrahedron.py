@@ -1,3 +1,4 @@
+import math
 from functools import partial
 
 import hypothesis.extra.numpy as hnp
@@ -10,12 +11,10 @@ from mmdselect import spectrahedron
 from mmdselect.core import RandomSource, TwoSampleData
 from mmdselect.gauss import GaussianPairTerms
 from mmdselect.spectrahedron import (
-    SmdStats,
     SpectraPoint,
     _norm_at_most,
     entropy_radius,
     mirror_step,
-    prop1_step_rule,
     smd_run,
     spectral_norm,
 )
@@ -23,19 +22,19 @@ from mmdselect.spectrahedron import (
 from oracles import bregman
 
 
-def random_density(gen, k, tau=1.0):
+def random_density(gen, k):
     B = gen.standard_normal((k, k))
     Z = B @ B.T + 1e-6 * np.eye(k)
-    return SpectraPoint(Z * (tau / np.trace(Z)), tau=tau)
+    return SpectraPoint(Z * (1.0 / np.trace(Z)))
 
 
 def test_point_validation():
     with pytest.raises(ValueError, match="symmetric"):
-        SpectraPoint(np.array([[1.0, 0.5], [0.0, 0.0]]), tau=1.0)
+        SpectraPoint(np.array([[1.0, 0.5], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="semidefinite"):
-        SpectraPoint(np.diag([1.5, -0.5]), tau=1.0)
+        SpectraPoint(np.diag([1.5, -0.5]))
     with pytest.raises(ValueError, match="trace"):
-        SpectraPoint(np.eye(2), tau=1.0)
+        SpectraPoint(np.eye(2))
 
 
 def test_mirror_step_zero_gradient_identity():
@@ -46,7 +45,7 @@ def test_mirror_step_zero_gradient_identity():
 
 
 def test_mirror_step_scalar_softmax():
-    p = SpectraPoint(np.eye(2) / 2.0, tau=1.0)
+    p = SpectraPoint(np.eye(2) / 2.0)
     step = 1.0
     g = np.log(3.0)
     q = mirror_step(p, np.diag([g, 0.0]), step)
@@ -62,7 +61,7 @@ def test_mirror_step_rotation_equivariance():
         G = gen.standard_normal((k, k))
         G = 0.5 * (G + G.T)
         Q, _ = np.linalg.qr(gen.standard_normal((k, k)))
-        lhs = mirror_step(SpectraPoint(Q @ p.Z @ Q.T, tau=1.0), Q @ G @ Q.T, 0.2).Z
+        lhs = mirror_step(SpectraPoint(Q @ p.Z @ Q.T), Q @ G @ Q.T, 0.2).Z
         rhs = Q @ mirror_step(p, G, 0.2).Z @ Q.T
         assert np.allclose(lhs, rhs, atol=1e-8)
 
@@ -80,8 +79,8 @@ def test_bregman_identity_zero():
 
 
 def test_bregman_scalar_example():
-    a = SpectraPoint(np.diag([0.5, 0.5]), tau=1.0)
-    b = SpectraPoint(np.diag([0.25, 0.75]), tau=1.0)
+    a = SpectraPoint(np.diag([0.5, 0.5]))
+    b = SpectraPoint(np.diag([0.25, 0.75]))
     expected = 0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
     assert bregman(a, b) == pytest.approx(expected, abs=1e-12)
 
@@ -106,21 +105,23 @@ def test_entropy_radius_bound():
 def test_smd_linear_objective_converges():
     # minimize <diag(1, 0), Z>: optimum 0 at Z = diag(0, 1)
     C = np.diag([1.0, 0.0])
-    rule = prop1_step_rule(2000, entropy_radius(2), m_star=1.0)
-    out = smd_run(lambda Z, gen: C, SpectraPoint.identity(2), 2000, rule, RandomSource(0))
+    out, M = smd_run(lambda Z, gen: C, SpectraPoint.identity(2), 2000, RandomSource(0))
+    assert M == 1.0
     assert out.Z[0, 0] < 0.05
     assert np.trace(out.Z) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_smd_zero_oracle_returns_start():
     p = SpectraPoint.identity(3)
-    out = smd_run(lambda Z, gen: np.zeros((3, 3)), p, 50, rng=RandomSource(1))
+    out, M = smd_run(lambda Z, gen: np.zeros((3, 3)), p, 50, RandomSource(1))
     assert np.allclose(out.Z, p.Z, atol=1e-10)
+    assert M == 0.0
 
 
 def test_smd_t_in_zero_returns_start():
     p = SpectraPoint.identity(3)
-    assert smd_run(lambda Z, gen: np.eye(3), p, 0) is p
+    out, M = smd_run(lambda Z, gen: np.eye(3), p, 0, RandomSource(0))
+    assert out is p and M == 0.0
 
 
 def test_smd_doubling_budget_does_not_hurt():
@@ -132,8 +133,7 @@ def test_smd_doubling_budget_does_not_hurt():
         return C + 0.5 * (E + E.T)
 
     def gap(T, seed):
-        rule = prop1_step_rule(T, entropy_radius(2), m_star=2.0)
-        out = smd_run(noisy, SpectraPoint.identity(2), T, rule, RandomSource(seed))
+        out, _ = smd_run(noisy, SpectraPoint.identity(2), T, RandomSource(seed))
         return out.Z[0, 0]
 
     gaps_short = np.median([gap(250, s) for s in range(10)])
@@ -150,7 +150,7 @@ def test_smd_iterates_feasible():
         B = gen.standard_normal((3, 3))
         return 0.5 * (B + B.T)
 
-    smd_run(oracle, SpectraPoint.identity(3), 40, rng=RandomSource(4))
+    smd_run(oracle, SpectraPoint.identity(3), 40, RandomSource(4))
     for Z in seen:
         w = np.linalg.eigvalsh(Z)
         assert w[0] >= -1e-9
@@ -159,7 +159,7 @@ def test_smd_iterates_feasible():
 
 def test_smd_rejects_asymmetric_oracle():
     with pytest.raises(ValueError, match="symmetric"):
-        smd_run(lambda Z, g: np.triu(np.ones((2, 2))), SpectraPoint.identity(2), 3)
+        smd_run(lambda Z, g: np.triu(np.ones((2, 2))), SpectraPoint.identity(2), 3, RandomSource(0))
 
 
 def test_objective_gap_decay_rate():
@@ -168,23 +168,24 @@ def test_objective_gap_decay_rate():
     Ts = [100, 1000, 10000]
     gaps = []
     for T in Ts:
-        rule = prop1_step_rule(T, entropy_radius(2), m_star=1.0)
-        out = smd_run(lambda Z, g: C, SpectraPoint.identity(2), T, rule, RandomSource(0))
+        out, _ = smd_run(lambda Z, g: C, SpectraPoint.identity(2), T, RandomSource(0))
         gaps.append(out.Z[0, 0])
     slope = np.polyfit(np.log(Ts), np.log(gaps), 1)[0]
     assert slope <= -0.4
 
 
 def test_identity_carries_exact_eigenpairs():
-    w, U = SpectraPoint.identity(4, tau=2.0).eigenpairs()
-    assert np.array_equal(w, np.full(4, 0.5))
+    p = SpectraPoint.identity(4)
+    w, U = p.eigenpairs()
+    assert np.array_equal(p.Z, np.eye(4) / 4.0)
+    assert np.array_equal(w, np.full(4, 0.25))
     assert np.array_equal(U, np.eye(4))
 
 
-def well_conditioned_density(seed, k, tau):
+def well_conditioned_density(seed, k):
     B = np.random.default_rng(seed).standard_normal((k, k))
     Z = B @ B.T + 0.1 * k * np.eye(k)
-    return SpectraPoint(Z * (tau / np.trace(Z)), tau=tau)
+    return SpectraPoint(Z * (1.0 / np.trace(Z)))
 
 
 bounded = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
@@ -193,24 +194,23 @@ bounded = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     k=st.integers(2, 6),
-    tau=st.floats(0.1, 10.0),
     step=st.floats(1e-3, 0.5),
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_mirror_step_carried_eigenpairs_match_fresh_decomposition(k, tau, step, seed, data):
+def test_mirror_step_carried_eigenpairs_match_fresh_decomposition(k, step, seed, data):
     G1, G2 = (data.draw(hnp.arrays(np.float64, (k, k), elements=bounded)) for _ in range(2))
     G1, G2 = 0.5 * (G1 + G1.T), 0.5 * (G2 + G2.T)
-    q1 = mirror_step(well_conditioned_density(seed, k, tau), G1, step)
+    q1 = mirror_step(well_conditioned_density(seed, k), G1, step)
     carried = mirror_step(q1, G2, step)  # log Z from the eigenpairs q1 carries
-    fresh = mirror_step(SpectraPoint(q1.Z, tau=tau), G2, step)  # from eigh(q1.Z)
-    assert np.max(np.abs(carried.Z - fresh.Z)) <= 1e-10 * tau
+    fresh = mirror_step(SpectraPoint(q1.Z), G2, step)  # from eigh(q1.Z)
+    assert np.max(np.abs(carried.Z - fresh.Z)) <= 1e-10
     for q in (q1, carried):
         assert np.array_equal(q.Z, q.Z.T)
-        assert float(np.linalg.eigvalsh(q.Z)[0]) >= -1e-12 * tau
-        assert float(np.trace(q.Z)) == pytest.approx(tau, rel=1e-12)
+        assert float(np.linalg.eigvalsh(q.Z)[0]) >= -1e-12
+        assert float(np.trace(q.Z)) == pytest.approx(1.0, rel=1e-12)
         w, U = q.eigenpairs()
-        assert np.max(np.abs((U * w) @ U.T - q.Z)) <= 1e-12 * tau
+        assert np.max(np.abs((U * w) @ U.T - q.Z)) <= 1e-12
 
 
 def _count_decompositions(monkeypatch):
@@ -244,20 +244,38 @@ def test_smd_step_decomposes_once(monkeypatch, T_in):
 
     monkeypatch.setattr(spectrahedron, "_norm_at_most", certificate)
     counts = _count_decompositions(monkeypatch)
-    smd_run(oracle, start, T_in, rng=RandomSource(3))
+    smd_run(oracle, start, T_in, RandomSource(3))
     # step 1 has no running maximum to certify against; a later step takes
     # the gradient's norm only when the certificate fails
     assert len(certified) == T_in and not certified[0]
     assert counts == {"eigh": T_in, "eigvalsh": 1 + certified[1:].count(False), "svd": 0}
 
 
-def test_smd_stats_record_largest_gradient_norm():
-    grads = [np.diag([0.5, -2.0]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.5, 0.0])]
-    it = iter(grads)
-    stats = SmdStats()
-    smd_run(lambda Z, g: next(it), SpectraPoint.identity(2), 3, rng=RandomSource(0), stats=stats)
-    assert stats.grad_norm_max == pytest.approx(2.0, rel=1e-15)
-    assert stats.grad_norm_max == max(spectral_norm(G) for G in grads)
+def test_smd_run_composes_mirror_steps_at_the_running_max():
+    # the norms rise, stay below the maximum, and rise again
+    gen = np.random.default_rng(31)
+    grads = [np.diag([0.5, -2.0, 0.0]), np.eye(3)[[1, 0, 2]], np.diag([1.5, 0.0, 3.0])]
+    for scale in (0.1, 4.0, 0.5):
+        B = scale * gen.standard_normal((3, 3))
+        grads.append(0.5 * B + 0.5 * B.T)
+    seen = []
+
+    def oracle(Z, g):
+        seen.append(Z)
+        return grads[len(seen) - 1]
+
+    T = len(grads)
+    out, M = smd_run(oracle, SpectraPoint.identity(3), T, RandomSource(0))
+    point, acc, m = SpectraPoint.identity(3), np.zeros((3, 3)), 0.0
+    for Z, G in zip(seen, grads):
+        assert np.array_equal(Z, point.Z)
+        m = max(m, spectral_norm(G))
+        point = spectrahedron._mirror_step(point, G, math.sqrt(entropy_radius(3) / T) / m)
+        acc += point.Z
+    avg = acc / T
+    avg *= 1.0 / float(np.trace(avg))
+    assert np.array_equal(out.Z, avg)
+    assert M == m == max(spectral_norm(G) for G in grads)
 
 
 def _certificate_holds(G, r):
