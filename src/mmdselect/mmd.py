@@ -168,12 +168,14 @@ def mmd_sq(spec: KernelSpec, z, data: TwoSampleData) -> float:
 # heuristic holds, about 0.5 MiB of float64, so its memory stays bounded.
 _MEDIAN_BLOCK = 1 << 16
 # A block is a whole number of 24-row panels, at least two and more than 2400
-# entries, and the last block takes the remainder.  numpy's OpenBLAS (its
-# Haswell dgemm) hands its kernel the rows of ``X`` in panels of 24, three of
-# its 8-wide unrolls, and sends products of at most 1200 entries to another
-# kernel, so each row meets the same kernel as in the full product and the
-# blocks have the full product's bits (``tests/test_mmd.py`` compares them).
-# A single row would go to gemv.  Two panels keep the product fast.
+# entries, and the last block takes the remainder.  OpenBLAS's Haswell dgemm
+# hands its kernel the rows of ``X`` in panels of 24, three of its 8-wide
+# unrolls, and sends products of at most 1200 entries to another kernel, so
+# each row meets the same kernel as in the full product; a single row would go
+# to gemv.  The blocks have the full product's bits under numpy's OpenBLAS
+# with its SkylakeX, Haswell and Sandybridge kernels (``tests/test_mmd.py``
+# compares them; the kernels forced with ``OPENBLAS_CORETYPE``).  Two panels
+# keep the product fast.
 _GEMM_PANEL = 24
 _GEMM_SMALL = 2400
 # (i, j) pairs drawn to bracket the median, gathered this many at a time, and

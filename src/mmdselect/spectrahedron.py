@@ -1,14 +1,16 @@
 """First-order optimization over the spectrahedron: the PSD matrices of
 trace one.
 
-The mirror map is the von Neumann entropy, so a step multiplies the iterate by
-a matrix exponential in the eigenbasis and renormalizes the trace:
+The mirror map is the von Neumann entropy, so a step adds the gradient to the
+iterate's dual, ``L = log Z``, and exponentiates:
 
-    Y = exp(log Z - step * G),   Z+ = Y / tr(Y).
+    L+ = L - step * G,   Z+ = exp(L+) / tr(exp(L+)).
 
-``smd_run`` iterates this update with stochastic gradient draws and returns
-the uniform average of the iterates, the estimator the convergence rate is
-stated for.
+A point this module builds carries its dual, so a step never decomposes a
+matrix: ``exp`` is a Taylor polynomial with scaling and squaring, numpy
+matrix products only.  ``smd_run`` iterates this update with stochastic
+gradient draws and returns the uniform average of the iterates, the estimator
+the convergence rate is stated for.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 from .core import RandomSource, _check_symmetric
 from .core import _freeze as _freeze_input
 
-# eigenvalues are floored at this value before taking logs
+# eigenvalues are floored at this value before taking logs of a point that
+# carries no dual
 _LOG_FLOOR = 1e-12
 
 
@@ -30,13 +33,16 @@ class SpectraPoint:
     """Symmetric PSD matrix of trace one.
 
     The constructor validates ``Z``.  Points built by ``mirror_step`` and
-    ``smd_run`` are feasible by construction and skip that check; a mirror
-    step's output also carries its eigenpairs, so the next step takes
-    ``log Z`` without decomposing ``Z``.
+    ``smd_run`` are feasible by construction and skip that check.  Such a
+    point, except ``smd_run``'s average, also carries its dual ``L = log Z +
+    c I`` for some ``c``, with no eigenvalue above 0 up to rounding: a mirror
+    step's output carries ``log Z`` itself, ``identity(k)`` the zero matrix.
+    A step starts from the carried dual and decomposes nothing; from a point
+    without one it takes ``log Z`` from one ``eigh`` of ``Z``.
     """
 
     Z: np.ndarray
-    _eig: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _dual: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         Z = _freeze_input(_check_symmetric(self.Z, "Z", 1e-10))
@@ -47,28 +53,36 @@ class SpectraPoint:
         object.__setattr__(self, "Z", Z)
 
     @classmethod
-    def _built(cls, Z: np.ndarray, eig=None) -> "SpectraPoint":
-        """A point this module computed, taken without validation; ``eig`` is
-        ``(w, U)`` with ``Z = U diag(w) U'`` up to rounding."""
+    def _built(cls, Z: np.ndarray, dual: np.ndarray | None = None) -> "SpectraPoint":
+        """A point this module computed, taken without validation; ``dual``
+        is exactly symmetric, ``log Z + c I`` up to rounding, with no
+        eigenvalue above 0."""
         p = object.__new__(cls)
-        for a in (Z,) if eig is None else (Z, *eig):
+        for a in (Z,) if dual is None else (Z, dual):
             a.flags.writeable = False
         object.__setattr__(p, "Z", Z)
-        object.__setattr__(p, "_eig", eig)
+        object.__setattr__(p, "_dual", dual)
         return p
 
     @property
     def dim(self) -> int:
         return self.Z.shape[0]
 
-    def eigenpairs(self) -> tuple:
-        """``(w, U)``, ascending: the carried pair, else ``eigh(Z)``."""
-        return self._eig if self._eig is not None else np.linalg.eigh(self.Z)
-
     @classmethod
     def identity(cls, k: int) -> "SpectraPoint":
-        """The maximum-entropy point ``I / k``, carrying its eigenpairs."""
-        return cls._built(np.eye(k) * (1.0 / k), (np.full(k, 1.0 / k), np.eye(k)))
+        """The maximum-entropy point ``I / k``, carrying the zero dual."""
+        return cls._built(np.eye(k) * (1.0 / k), np.zeros((k, k)))
+
+
+def _dual_of(p: SpectraPoint) -> np.ndarray:
+    """The dual ``p`` carries, else ``log Z`` from ``eigh(Z)`` with the
+    eigenvalues floored at ``_LOG_FLOOR`` and symmetrized.  Exactly symmetric
+    either way, so that ``L - step G`` is too when ``G`` is."""
+    if p._dual is not None:
+        return p._dual
+    w, U = np.linalg.eigh(p.Z)
+    L = (U * np.log(np.maximum(w, _LOG_FLOOR))) @ U.T
+    return 0.5 * (L + L.T)
 
 
 def spectral_norm(G: np.ndarray) -> float:
@@ -133,31 +147,79 @@ def _norm_at_most(G: np.ndarray, r: float) -> bool:
     return f + 16.0 * (G.shape[0] + 2) * _U * (t * t) <= 1.0
 
 
+# exp(A) by scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26(4),
+# 2005; Al-Mohy & Higham 2009): the Taylor polynomial T of degree m = 14 at
+# X = A / 2^s, s >= 0 the least with ||A||_inf < 2^s theta, theta = 1/2,
+# squared s times.  The shifted duals have eigenvalues in [-||A||, 0] (up to
+# rounding), so X's lie in [-theta, 0], where |e^x - T(x)| / e^x <=
+# theta^(m+1) / (m+1)! * e^theta = 3.8e-17 <= u = 2^-53; degree 13 would
+# give 1.2e-15.
+_EXP_THETA = 0.5
+# T(X) = B0 + X^4 (B1 + X^4 (B2 + X^4 B3)) (Paterson & Stockmeyer 1973): row j
+# holds the coefficients of I, X, X^2 and X^3 in B_j, 1/k! for k = 4j + i.
+_EXP_BLOCKS = np.array(
+    [[1.0 / math.factorial(4 * j + i) if 4 * j + i <= 14 else 0.0 for i in range(4)] for j in range(4)]
+)
+
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """``exp(A)`` for a symmetric ``A`` with no eigenvalue above 0, up to
+    rounding; six matrix products for the polynomial and one per squaring."""
+    D = A.shape[0]
+    # ||A||_inf / theta < 2^s; frexp neither raises nor loops on inf or NaN
+    s = max(0, math.frexp(float(np.abs(A).sum(axis=1).max()) / _EXP_THETA)[1])
+    X = A * 0.5**s
+    P = np.empty((4, D, D))
+    P[0] = np.eye(D)
+    P[1] = X
+    np.matmul(X, X, out=P[2])
+    np.matmul(P[2], X, out=P[3])
+    X4 = P[2] @ P[2]
+    B = (_EXP_BLOCKS @ P.reshape(4, -1)).reshape(4, D, D)
+    Y = B[3]
+    for Bj in B[2::-1]:
+        Y = X4 @ Y
+        Y += Bj
+    for _ in range(s):
+        Y = Y @ Y
+    return Y
+
+
+def _exp_point(H: np.ndarray, b: float) -> SpectraPoint:
+    """The point ``exp(H) / tr``, carrying ``H - log(tr) I``, for ``b`` at
+    least ``lambda_max(H)`` and an exactly symmetric ``H``, which it takes
+    over and shifts in place.
+
+    The exponential is taken of ``H - b I``: its top eigenvalue lies in
+    ``[lambda_max(H) - b, 0]``, so nothing overflows, and the trace does not
+    underflow while ``b - lambda_max(H)`` stays far below 700.
+    """
+    diag = H.reshape(-1)[:: H.shape[0] + 1]
+    diag -= b
+    Y = _expm(H)
+    tr = float(np.trace(Y))
+    diag -= math.log(tr)
+    return SpectraPoint._built((Y + Y.T) * (0.5 / tr), H)
+
+
 def mirror_step(p: SpectraPoint, G: np.ndarray, step: float) -> SpectraPoint:
     """One entropic step against gradient ``G`` (descent direction).
 
-    ``Z+ = U2 diag(e) U2' / tr`` with ``(e, U2)`` from ``eigh(H)``, so the
-    step returns ``Z+`` with those eigenpairs and decomposes only ``H``.
+    The exponent's shift is the top eigenvalue of ``L - step G`` from one
+    ``eigvalsh``, so a step of any size stays in floating-point range.
     """
     G = _check_symmetric(G, "gradient", 1e-8)
     if G.shape[0] != p.dim:
         raise ValueError("gradient dimension mismatch")
-    return _mirror_step(p, G, step)
+    H = _dual_of(p) - step * G
+    return _exp_point(H, float(np.linalg.eigvalsh(H)[-1]))
 
 
-def _mirror_step(p: SpectraPoint, G: np.ndarray, step: float) -> SpectraPoint:
-    """``mirror_step`` for a gradient already checked: symmetric, of the
-    point's dimension."""
-    w, U = p.eigenpairs()
-    logZ = (U * np.log(np.maximum(w, _LOG_FLOOR))) @ U.T
-    H = logZ - step * G
-    H = 0.5 * (H + H.T)
-    w2, U2 = np.linalg.eigh(H)
-    e = np.exp(w2 - float(np.max(w2)))  # shift-invariant after trace renorm
-    Y = (U2 * e) @ U2.T
-    Y = 0.5 * (Y + Y.T)
-    c = 1.0 / float(np.trace(Y))
-    return SpectraPoint._built(Y * c, (e * c, U2))
+def _mirror_step(p: SpectraPoint, G: np.ndarray, step: float, b: float) -> SpectraPoint:
+    """``mirror_step`` for a gradient already checked (exactly symmetric, as
+    ``_check_symmetric`` returns it, and of the point's dimension) and ``b``
+    at least ``lambda_max(L - step G)``."""
+    return _exp_point(_dual_of(p) - step * G, b)
 
 
 def entropy_radius(k: int) -> float:
@@ -175,10 +237,13 @@ def smd_run(
     ``grad_oracle(Z, gen)`` returns a symmetric (sub)gradient estimate at
     ``Z``, drawing from ``rng``'s generator.  Step ``t`` is ``sqrt(V / T_in) /
     max(M_t, 1e-12)``, ``V = entropy_radius(D)``, ``M_t`` the running maximum.
-    A step checks the gradient once and decomposes ``H`` once (``eigh``); the
-    gradient's norm (``eigvalsh``) is computed only when ``_norm_at_most``
-    cannot prove it at or below ``M_{t-1}``, so every ``M_t`` and step are
-    what computing it on every step would give.
+    A step checks the gradient once and decomposes nothing: ``step * ||G||_2
+    <= sqrt(V / T_in)``, and the carried dual has no eigenvalue above 0, so
+    ``sqrt(V / T_in)`` bounds the exponent's top eigenvalue; only a ``p0``
+    that carries no dual costs one ``eigh``.  The gradient's norm
+    (``eigvalsh``) is computed only when ``_norm_at_most`` cannot prove it at
+    or below ``M_{t-1}``, so every ``M_t`` and step are what computing it on
+    every step would give.
     """
     if T_in < 0:
         raise ValueError("T_in must be >= 0")
@@ -195,7 +260,7 @@ def smd_run(
             raise ValueError("gradient dimension mismatch")
         if not _norm_at_most(G, running_max):
             running_max = max(running_max, spectral_norm(G))
-        point = _mirror_step(point, G, scale / max(running_max, 1e-12))
+        point = _mirror_step(point, G, scale / max(running_max, 1e-12), scale)
         acc += point.Z
     avg = acc / T_in  # iterates are exactly symmetric, so is their sum
     avg *= 1.0 / float(np.trace(avg))

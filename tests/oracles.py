@@ -12,10 +12,11 @@ writer and the median heuristic are written out cell by cell and one
 temporary per operation, the forms the library's versions must match bit for
 bit.  The gaussian surrogate sums its pair terms one difference vector at a
 time.  The single-pair kernel and the von Neumann divergence are the
-textbook formulas.  The baseline selectors (a fixed support, a random one)
-and the gradient wrapper are what the tests drive the library with.  The
-approximation-ratio envelope is the sandwich a certified relaxation bound
-must sit in.
+textbook formulas, and the mirror step's exponential is taken in the
+eigenbasis of its exponent.  The baseline selectors (a fixed support, a
+random one) and the gradient wrapper are what the tests drive the library
+with.  The approximation-ratio envelope is the sandwich a certified
+relaxation bound must sit in.
 """
 
 from __future__ import annotations
@@ -334,15 +335,26 @@ def kernel_eval(spec, z, x: np.ndarray, y: np.ndarray) -> float:
 def bregman(p1, p2) -> float:
     """Von Neumann divergence ``tr(X log X - X log Y)`` of two
     ``SpectraPoint``s, with eigenvalues floored as the mirror step floors
-    them before taking logs."""
+    those of a point without a dual before taking logs."""
     if p1.dim != p2.dim:
         raise ValueError("dimension mismatch")
-    w1, _ = p1.eigenpairs()
-    w1f = np.maximum(w1, spectrahedron._LOG_FLOOR)
+    w1f = np.maximum(np.linalg.eigvalsh(p1.Z), spectrahedron._LOG_FLOOR)
     term1 = float(np.sum(w1f * np.log(w1f)))
-    w2, U2 = p2.eigenpairs()
+    w2, U2 = np.linalg.eigh(p2.Z)
     logY = (U2 * np.log(np.maximum(w2, spectrahedron._LOG_FLOOR))) @ U2.T
     return term1 - float(np.sum(p1.Z * logY))
+
+
+def mirror_step_reference(L: np.ndarray, G: np.ndarray, step: float):
+    """``(exp(H) / tr, H)`` for ``H = L - step G`` symmetrized, the
+    exponential taken in the eigenbasis of ``H`` (``eigh``), shifted by its
+    top eigenvalue."""
+    H = np.asarray(L, dtype=np.float64) - step * np.asarray(G, dtype=np.float64)
+    H = 0.5 * (H + H.T)
+    w, U = np.linalg.eigh(H)
+    Y = (U * np.exp(w - w[-1])) @ U.T
+    Y = 0.5 * (Y + Y.T)
+    return Y / np.trace(Y), H
 
 
 def _pair_exponents(U: np.ndarray, V: np.ndarray, Z: np.ndarray, gamma: float) -> np.ndarray:

@@ -141,7 +141,7 @@ def test_power_worker_count_invariant():
 
 
 def test_power_worker_count_invariant_gauss_ccp():
-    # mirror-descent iterates carry their eigenpairs; trials in the pool's
+    # mirror-descent iterates carry their dual matrix; trials in the pool's
     # processes must still reproduce the serial run exactly
     gauss = Selector("gauss-ccp", 2, {"T_out": 2, "T_in": 20, "batch": 32})
     cfg1 = small_config(selectors=(gauss,), trials=4, workers=1)

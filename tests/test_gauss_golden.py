@@ -2,9 +2,10 @@
 
 Recorded from the implementation whose mirror step decomposed the iterate
 afresh (``eigh`` of ``Z`` for its logarithm) and took gradient norms by SVD.
-The step that carries the iterate's eigenpairs must reproduce it: identical
-supports, ``no_signal`` flags and rejection vectors; objectives, gap
-estimates and values within 1e-9 relative.
+The step that carries the iterate's dual and exponentiates it by scaling and
+squaring must reproduce it: identical supports, ``no_signal`` flags and
+rejection vectors; objectives, gap estimates and values within 1e-9
+relative.
 
 The relax cases pin what ``Selector("quad-relax")`` reports: greedy + local
 search's support and value, and the certified closed-form bound.
@@ -169,6 +170,61 @@ def test_mirror_descent_bit_identical_across_blas_thread_counts():
         outputs.append(run.stdout)
     assert len(outputs[0].splitlines()) == 5
     assert outputs[0] == outputs[1]
+
+
+_KERNEL_SCRIPT = """
+import ctypes, glob, os, sys
+import numpy as np
+import pytest
+
+libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+for path in glob.glob(os.path.join(libs, "libscipy_openblas*.so*")):
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
+        if hasattr(lib, name):
+            corename = getattr(lib, name)
+            corename.restype = ctypes.c_char_p
+            print("kernel", corename().decode())
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[1:]]))
+"""
+# the instruction sets each forced OpenBLAS kernel needs
+_KERNEL_FLAGS = {"Haswell": {"avx2", "fma"}, "Sandybridge": {"avx"}}
+
+
+def _cpu_flags():
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("flags"):
+                    return set(line.split(":", 1)[1].split())
+    except OSError:
+        pass
+    return set()
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNEL_FLAGS))
+def test_golden_ccp_and_greedy_margin_under_other_blas_kernels(kernel):
+    # numpy's wheel picks its OpenBLAS kernel from the CPU; forcing two
+    # others checks a golden ccp case (the null-sweep options) at its own
+    # tolerances, and greedy's rounding margin, as other CPUs would run them
+    if not _KERNEL_FLAGS[kernel] <= _cpu_flags():
+        pytest.skip(f"this CPU cannot run the {kernel} kernel")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [
+            sys.executable, "-c", _KERNEL_SCRIPT,
+            "tests/test_gauss_golden.py::test_golden_mirror_descent[ccp-null-s0]",
+            "tests/test_trs.py::test_greedy_margin_keeps_lanes_that_round_above_their_bound",
+        ],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "2 passed" in run.stdout
+    if "kernel " not in run.stdout:
+        pytest.skip("numpy bundles no OpenBLAS whose kernel can be forced")
+    assert f"kernel {kernel}\n" in run.stdout
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from mmdselect.spectrahedron import (
     spectral_norm,
 )
 
-from oracles import bregman
+from oracles import bregman, mirror_step_reference
 
 
 def random_density(gen, k):
@@ -174,18 +174,21 @@ def test_objective_gap_decay_rate():
     assert slope <= -0.4
 
 
-def test_identity_carries_exact_eigenpairs():
+def test_identity_carries_an_exact_zero_dual():
     p = SpectraPoint.identity(4)
-    w, U = p.eigenpairs()
     assert np.array_equal(p.Z, np.eye(4) / 4.0)
-    assert np.array_equal(w, np.full(4, 0.25))
-    assert np.array_equal(U, np.eye(4))
+    assert np.array_equal(p._dual, np.zeros((4, 4)))  # log Z + (log 4) I
 
 
 def well_conditioned_density(seed, k):
     B = np.random.default_rng(seed).standard_normal((k, k))
     Z = B @ B.T + 0.1 * k * np.eye(k)
     return SpectraPoint(Z * (1.0 / np.trace(Z)))
+
+
+def eigh_log(Z):
+    w, U = np.linalg.eigh(Z)
+    return (U * np.log(w)) @ U.T
 
 
 bounded = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
@@ -198,19 +201,60 @@ bounded = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
     seed=st.integers(0, 2**32 - 1),
     data=st.data(),
 )
-def test_mirror_step_carried_eigenpairs_match_fresh_decomposition(k, step, seed, data):
+def test_mirror_step_carried_dual_matches_fresh_decomposition(k, step, seed, data):
     G1, G2 = (data.draw(hnp.arrays(np.float64, (k, k), elements=bounded)) for _ in range(2))
     G1, G2 = 0.5 * (G1 + G1.T), 0.5 * (G2 + G2.T)
     q1 = mirror_step(well_conditioned_density(seed, k), G1, step)
-    carried = mirror_step(q1, G2, step)  # log Z from the eigenpairs q1 carries
-    fresh = mirror_step(SpectraPoint(q1.Z), G2, step)  # from eigh(q1.Z)
+    carried = mirror_step(q1, G2, step)  # starts from the dual q1 carries
+    fresh = mirror_step(SpectraPoint(q1.Z), G2, step)  # from log Z by eigh(q1.Z)
     assert np.max(np.abs(carried.Z - fresh.Z)) <= 1e-10
     for q in (q1, carried):
         assert np.array_equal(q.Z, q.Z.T)
         assert float(np.linalg.eigvalsh(q.Z)[0]) >= -1e-12
         assert float(np.trace(q.Z)) == pytest.approx(1.0, rel=1e-12)
-        w, U = q.eigenpairs()
-        assert np.max(np.abs((U * w) @ U.T - q.Z)) <= 1e-12
+        # the trace-normalized dual is log Z itself
+        assert np.max(np.abs(q._dual - eigh_log(q.Z))) <= 1e-10
+
+
+# Both the step and the eigenbasis reference have an error of order D u
+# ||H||_2 in the exponent H; 1e-13 (1 + ||H||_2) relative to max |Z| is ten
+# times the largest error seen on 3000 random draws of these sizes.
+STEP_RTOL = 1e-13
+
+
+def assert_matches_reference(point, want, H):
+    Z = point.Z
+    assert np.isfinite(Z).all() and np.array_equal(Z, Z.T)
+    assert abs(float(np.trace(Z)) - 1.0) <= 1e-12
+    tol = STEP_RTOL * (1.0 + spectral_norm(H)) * float(np.abs(want).max())
+    assert float(np.abs(Z - want).max()) <= tol
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 60),
+    spread=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+    push=st.one_of(st.just(0.0), st.floats(1e-4, 1e5)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mirror_step_matches_the_eigenbasis_exponential(k, spread, push, seed):
+    # a point whose dual has its eigenvalues spread over [-spread, 0], then a
+    # step of size push / ||G||_2; a RuntimeWarning fails the test
+    gen = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(gen.standard_normal((k, k)))
+    L = (Q * (-spread * gen.uniform(0.0, 1.0, k))) @ Q.T
+    L = 0.5 * (L + L.T)
+    B = gen.standard_normal((k, k))
+    G = 0.5 * (B + B.T)
+    step = push / spectral_norm(G)
+    p = mirror_step(SpectraPoint.identity(k), -L, 1.0)  # carries L + c I
+    assert_matches_reference(p, *mirror_step_reference(L, np.zeros((k, k)), 0.0))
+    want, H = mirror_step_reference(L, G, step)
+    assert_matches_reference(mirror_step(p, G, step), want, H)
+    if push <= math.sqrt(entropy_radius(60)):
+        # smd_run's shift: a bound on ||step G||_2, from a dual with no
+        # eigenvalue above 0
+        assert_matches_reference(spectrahedron._mirror_step(p, G, step, push), want, H)
 
 
 def _count_decompositions(monkeypatch):
@@ -228,13 +272,14 @@ def _count_decompositions(monkeypatch):
     return counts
 
 
+@pytest.mark.parametrize("carried", [True, False], ids=["identity", "constructed"])
 @pytest.mark.parametrize("T_in", [1, 7])
-def test_smd_step_decomposes_once(monkeypatch, T_in):
+def test_smd_run_decomposes_only_a_start_without_a_dual(monkeypatch, T_in, carried):
     # the gaussian CCP oracle, as ccp_select builds it, on a 12-variable problem
     gen = np.random.default_rng(71)
     data = TwoSampleData(gen.standard_normal((20, 12)) + 0.5, gen.standard_normal((20, 12)))
     terms = GaussianPairTerms(data, 3.0)
-    start = SpectraPoint.identity(12)
+    start = SpectraPoint.identity(12) if carried else SpectraPoint(np.eye(12) / 12.0)
     oracle = partial(terms.surrogate_grad, within=terms.within_grad_at(start.Z), lam=0.01, batch=16)
     certified = []
 
@@ -245,10 +290,13 @@ def test_smd_step_decomposes_once(monkeypatch, T_in):
     monkeypatch.setattr(spectrahedron, "_norm_at_most", certificate)
     counts = _count_decompositions(monkeypatch)
     smd_run(oracle, start, T_in, RandomSource(3))
-    # step 1 has no running maximum to certify against; a later step takes
-    # the gradient's norm only when the certificate fails
+    # no step decomposes an iterate: only the first takes log Z by eigh, and
+    # only from a start that carries no dual; step 1 has no running maximum
+    # to certify against, and a later step takes the gradient's norm only when
+    # the certificate fails
     assert len(certified) == T_in and not certified[0]
-    assert counts == {"eigh": T_in, "eigvalsh": 1 + certified[1:].count(False), "svd": 0}
+    want = {"eigh": 0 if carried else 1, "eigvalsh": 1 + certified[1:].count(False), "svd": 0}
+    assert counts == want
 
 
 def test_smd_run_composes_mirror_steps_at_the_running_max():
@@ -270,7 +318,8 @@ def test_smd_run_composes_mirror_steps_at_the_running_max():
     for Z, G in zip(seen, grads):
         assert np.array_equal(Z, point.Z)
         m = max(m, spectral_norm(G))
-        point = spectrahedron._mirror_step(point, G, math.sqrt(entropy_radius(3) / T) / m)
+        scale = math.sqrt(entropy_radius(3) / T)
+        point = spectrahedron._mirror_step(point, G, scale / m, scale)
         acc += point.Z
     avg = acc / T
     avg *= 1.0 / float(np.trace(avg))

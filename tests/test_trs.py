@@ -474,11 +474,17 @@ def test_stacked_oracle_certifies_every_lane():
 
 
 def test_greedy_margin_keeps_lanes_that_round_above_their_bound():
-    # round 2's lanes {0, 1} and {1, 2} share the bound 5 + ||(0.25, 0.3)||,
-    # and both computed values round above it, the second's further: only
-    # the rounding margin lets the second lane be solved after the first
+    # round 2's lanes {0, 1} and {1, 2} tie in exact arithmetic and share the
+    # bound 5 + ||(0.25, 0.3)||, and both computed values round above it:
+    # only the rounding margin lets {1, 2} be solved after {0, 1}.  Which
+    # lane rounds higher depends on the BLAS kernel, so the expected support
+    # is the first maximum of the two computed values
     qp = QuadProblem(5.0 * np.eye(3), np.array([0.25, 0.3, 0.25]))
-    assert _assert_greedy_is_reference(qp, 2).support == (1, 2)
+    v01, v12 = (lane[0] for lane in _sphere_stack(qp.A, qp.t, [[0, 1], [1, 2]]))
+    bound = 5.0 + float(np.sqrt(0.25 * 0.25 + 0.3 * 0.3))
+    assert v01 > bound and v12 > bound
+    want = (1, 2) if v12 > v01 else (0, 1)
+    assert _assert_greedy_is_reference(qp, 2).support == want
 
 
 def test_greedy_solves_a_lane_whose_bound_overflows():
