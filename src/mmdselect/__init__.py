@@ -12,19 +12,16 @@ from .core import (
     TwoSampleData,
     derive_stream,
     load_two_sample,
-    save_two_sample,
     split_train_test,
 )
 from .mmd import (
-    ConcentrationInputs,
     DegenerateBandwidthError,
     KernelSpec,
-    concentration_epsilon,
     median_heuristic,
     mmd_sq,
 )
 from .linear import LinearCoefficients, linear_coefficients, linear_select
-from .trs import TrsSolution, lambda_set, trs_max
+from .trs import TrsSolution, lambda_set
 from .quad import (
     QuadProblem,
     QuadSolveReport,

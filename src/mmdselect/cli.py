@@ -11,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -36,6 +37,16 @@ SCHEMA_VERSION = 1
 
 class UsageError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn an ``OSError`` raised in the block, which writes ``path`` and
+    nothing else, into a ``UsageError`` naming the path (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -161,7 +172,7 @@ def _selection_payload(selection, objective=None) -> dict:
 def _emit(doc: dict, out_path: str | None) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with _writing(out_path), open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -170,7 +181,8 @@ def _emit(doc: dict, out_path: str | None) -> None:
 def _diagnostics_payload(diag: dict, trajectory_path: str | None) -> dict:
     out = {k: v for k, v in diag.items() if k != "trajectory"}
     if trajectory_path and "trajectory" in diag:
-        write_trajectory(trajectory_path, diag["trajectory"])
+        with _writing(trajectory_path):
+            write_trajectory(trajectory_path, diag["trajectory"])
         out["trajectory_path"] = trajectory_path
     return out
 
@@ -254,10 +266,11 @@ def _cmd_synth(args) -> dict:
         seed=RandomSource(args.seed),
     )
     data, true_support = bench.synth_block_gaussian(spec)
-    save_matrix(args.out_x, data.X)
-    save_matrix(args.out_y, data.Y)
+    for path, M in ((args.out_x, data.X), (args.out_y, data.Y)):
+        with _writing(path):
+            save_matrix(path, M)
     if args.out_support:
-        with open(args.out_support, "w", encoding="utf-8") as fh:
+        with _writing(args.out_support), open(args.out_support, "w", encoding="utf-8") as fh:
             json.dump({"true_support": [i + 1 for i in true_support]}, fh)
             fh.write("\n")
     return {
@@ -293,8 +306,9 @@ def _cmd_bench(args, kind: str) -> dict:
     else:
         summary = bench.run_recovery_experiment(config)
     if args.table:
-        with open(args.table, "w", encoding="utf-8") as fh:
-            fh.write(summary.to_table())
+        table = summary.to_table()
+        with _writing(args.table), open(args.table, "w", encoding="utf-8") as fh:
+            fh.write(table)
     return {
         "config": {
             "blocks": args.blocks,
@@ -329,16 +343,16 @@ def dispatch(argv) -> int:
             doc = _cmd_synth(args)
         else:
             doc = _cmd_bench(args, args.command)
+        doc["schema_version"] = SCHEMA_VERSION
+        doc["command"] = args.command
+        doc["runtime_ms"] = int(round(1000 * (time.perf_counter() - start)))
+        _emit(doc, getattr(args, "out", None))
     except (UsageError, DataFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure
         print(f"failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    doc["schema_version"] = SCHEMA_VERSION
-    doc["command"] = args.command
-    doc["runtime_ms"] = int(round(1000 * (time.perf_counter() - start)))
-    _emit(doc, getattr(args, "out", None))
     return 0
 
 

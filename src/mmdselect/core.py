@@ -168,9 +168,6 @@ class TwoSampleData:
     def dim(self) -> int:
         return self.X.shape[1]
 
-    def swapped(self) -> "TwoSampleData":
-        return TwoSampleData(self.Y, self.X)
-
 
 @dataclass(frozen=True)
 class SelectionVector:
@@ -208,23 +205,29 @@ class SelectionVector:
         return self.z.shape[0]
 
 
-def make_selection(z: np.ndarray, d: int, no_signal: bool = False) -> SelectionVector:
+def make_selection(z: np.ndarray, d: int) -> SelectionVector:
     """Normalize, zero out below-threshold noise, and wrap as a SelectionVector."""
     z = np.asarray(z, dtype=np.float64).copy()
     z[np.abs(z) < 1e-14] = 0.0
     nrm = np.linalg.norm(z)
     if nrm == 0.0:
         raise ValueError("cannot build a selection from the zero vector")
-    return SelectionVector(z / nrm, d, no_signal=no_signal)
+    return SelectionVector(z / nrm, d)
 
 
 def _table_lines(path: str) -> list:
     """``(line number, line)`` of each line of the file at ``path`` that is
     not blank or whitespace-only, from one pass that decodes the file once.
     Line ends are translated (universal newlines) and dropped, and so is a
-    UTF-8 byte-order mark."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        return [(lineno, line.rstrip("\n")) for lineno, line in enumerate(fh, 1) if line.strip()]
+    UTF-8 byte-order mark.  A file that cannot be opened or read, or that is
+    not UTF-8, raises ``DataFormatError`` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return [(no, line.rstrip("\n")) for no, line in enumerate(fh, 1) if line.strip()]
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _parse_row(lineno: int, line: str):
@@ -344,19 +347,12 @@ def load_two_sample(path_x: str, path_y: str) -> TwoSampleData:
     return TwoSampleData(X, Y)
 
 
-def save_matrix(path: str, M: np.ndarray, header: list[str] | None = None) -> None:
+def save_matrix(path: str, M: np.ndarray) -> None:
     """Write a matrix in the tabular format; float repr round-trips bit-exactly."""
     M = np.asarray(M, dtype=np.float64)
     with open(path, "w", encoding="utf-8") as fh:
-        if header is not None:
-            fh.write(",".join(header) + "\n")
         for row in M.tolist():
             fh.write(",".join(map(repr, row)) + "\n")
-
-
-def save_two_sample(data: TwoSampleData, path_x: str, path_y: str) -> None:
-    save_matrix(path_x, data.X)
-    save_matrix(path_y, data.Y)
 
 
 def split_train_test(

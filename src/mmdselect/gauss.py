@@ -26,8 +26,6 @@ from .core import _one_blas_thread
 from .mmd import KernelSpec, mmd_sq
 from .spectrahedron import SpectraPoint, entropy_radius, smd_run
 
-DEFAULT_LAMBDA_GRID = (0.0, 0.01, 0.05, 0.1, 0.5)
-
 
 @dataclass(frozen=True)
 class GaussConfig:
@@ -38,13 +36,12 @@ class GaussConfig:
     T_out: int = 6
     T_in: int = 150
     batch: int = 256
-    lambda_grid: tuple = DEFAULT_LAMBDA_GRID
     rng: RandomSource = field(default_factory=lambda: RandomSource(0))
 
     def __post_init__(self):
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
-        if not all(0.0 <= lam < np.inf for lam in (self.lam, *self.lambda_grid)):
+        if not 0.0 <= self.lam < np.inf:
             raise ValueError("l1 weights (lam, lambda_grid) must be finite and nonnegative")
         if self.T_out < 1 or self.T_in < 0 or self.batch < 1:
             raise ValueError("iteration counts must be positive (T_in may be 0)")
@@ -153,8 +150,9 @@ def extract_selection(Z, d: int) -> SelectionVector:
     first nonzero entry positive.
 
     A degenerate leading eigenspace is resolved deterministically by projecting
-    the all-ones direction (then basis vectors) onto it; if the kept entries
-    all vanish the fallback ranks coordinates by the diagonal of Z.
+    the all-ones direction (then basis vectors) onto it.  The kept entries of
+    the unit direction cannot all vanish: the d largest of D squares summing
+    to 1 sum to at least d/D.
     """
     Zm = _as_matrix(Z)
     D = Zm.shape[0]
@@ -176,13 +174,6 @@ def extract_selection(Z, d: int) -> SelectionVector:
     keep = np.argsort(-np.abs(v), kind="stable")[:d]
     z = np.zeros(D)
     z[keep] = v[keep]
-    if np.linalg.norm(z) < 1e-12:
-        diag = np.maximum(np.diag(Zm), 0.0)
-        keep = np.argsort(-diag, kind="stable")[:d]
-        z = np.zeros(D)
-        z[keep] = np.sqrt(diag[keep])
-        if np.linalg.norm(z) == 0.0:
-            z[keep] = 1.0
     z /= np.linalg.norm(z)
     nz = np.flatnonzero(z)
     if z[nz[0]] < 0:
@@ -273,18 +264,22 @@ def ccp_select(data: TwoSampleData, cfg: GaussConfig, d: int) -> CcpResult:
 
 
 def lambda_grid_select(
-    data_train: TwoSampleData, data_val: TwoSampleData, cfg: GaussConfig, d: int
+    data_train: TwoSampleData, data_val: TwoSampleData, cfg: GaussConfig, d: int, grid
 ) -> float:
-    """Pick the l1 weight whose trained selection maximizes the validation
-    squared MMD; ties resolve to the smaller weight."""
-    if not cfg.lambda_grid:
+    """Pick the l1 weight of ``grid`` whose trained selection maximizes the
+    validation squared MMD; ties resolve to the smaller weight.  Every weight
+    is checked (as ``cfg.lam`` is) before the first run."""
+    if not grid:
         raise ValueError("lambda grid must be non-empty")
+    runs = [
+        replace(cfg, lam=float(lam), rng=derive_stream(cfg.rng, 1000 + i))
+        for i, lam in enumerate(sorted(grid))
+    ]
     kern = KernelSpec.gaussian(cfg.gamma)
     best_lam, best_score = None, -np.inf
-    for i, lam in enumerate(sorted(cfg.lambda_grid)):
-        run_cfg = replace(cfg, lam=float(lam), rng=derive_stream(cfg.rng, 1000 + i))
+    for run_cfg in runs:
         result = ccp_select(data_train, run_cfg, d)
         score = mmd_sq(kern, result.selection, data_val)
         if score > best_score:
-            best_score, best_lam = score, float(lam)
+            best_score, best_lam = score, run_cfg.lam
     return best_lam

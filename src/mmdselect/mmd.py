@@ -1,5 +1,5 @@
-"""Projected kernels, the empirical squared-MMD statistic, bandwidth
-heuristics, and the finite-sample concentration constant.
+"""Projected kernels, the empirical squared-MMD statistic and bandwidth
+heuristics.
 
 The three kernel families act on samples projected by a sparse unit vector
 ``z``:
@@ -337,33 +337,3 @@ def resolve_kernel(spec: KernelSpec, data: TwoSampleData, d: int | None = None) 
         return spec
     return KernelSpec(spec.family, default_bandwidth(spec.family, data, d))
 
-
-@dataclass(frozen=True)
-class ConcentrationInputs:
-    """Sample sizes, kernel upper bound and error probability for the
-    finite-sample deviation constant."""
-
-    m: int
-    n: int
-    kbar: float
-    eta: float
-
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError("sample sizes must be positive")
-        if not self.kbar > 0:
-            raise ValueError("kernel upper bound must be positive")
-        if not 0.0 < self.eta < 1.0:
-            raise ValueError("eta must lie in (0, 1)")
-
-
-def concentration_epsilon(inp: ConcentrationInputs) -> float:
-    """Deviation radius eps(m, n, kbar, eta) of the empirical MMD.
-
-    eps = 2 (sqrt(kbar/m) + sqrt(kbar/n))
-          + sqrt( 2 kbar (m+n)/(m n) * log(2/eta) ).
-    """
-    m, n, kbar, eta = inp.m, inp.n, inp.kbar, inp.eta
-    return 2.0 * (math.sqrt(kbar / m) + math.sqrt(kbar / n)) + math.sqrt(
-        2.0 * kbar * (m + n) / (m * n) * math.log(2.0 / eta)
-    )

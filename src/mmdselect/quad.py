@@ -17,7 +17,7 @@ reported objective values are translated back to the unshifted problem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,15 +40,16 @@ class QuadProblem:
     """Quadratic objective data, PSD-shifted.
 
     ``A`` is symmetric positive semidefinite; ``shift`` records the
-    ``lambda_min`` that was subtracted from the raw matrix (0 when it was
-    already PSD), so that an objective value ``v`` computed on the stored
-    matrix reports as ``v + shift`` in the original problem.  Finite and
-    exactly symmetric, ``(A, t)`` is the sphere oracle's checked input.
+    ``lambda_min`` that ``from_matrices`` subtracted from the raw matrix (0
+    when it was already PSD, and for a problem built from a PSD ``A``), so
+    that an objective value ``v`` computed on the stored matrix reports as
+    ``v + shift`` in the original problem.  Finite and exactly symmetric,
+    ``(A, t)`` is the sphere oracle's checked input.
     """
 
     A: np.ndarray
     t: np.ndarray
-    shift: float = 0.0
+    shift: float = field(default=0.0, init=False)
 
     def __post_init__(self):
         A, t = map(_freeze_input, _oracle_input(self.A, self.t))
@@ -222,8 +223,6 @@ def exact_select_bnb(qp: QuadProblem, d: int) -> QuadSolveReport:
         union = sorted(set(forced) | set(cand))
         if len(forced) >= d or len(union) <= d:
             sup = sorted(forced) if len(forced) >= d else union
-            if not sup:
-                continue
             lane = _sphere_stack(qp.A, qp.t, [sup])[0]
             if lane[0] > best[0] + tie_tol or (
                 abs(lane[0] - best[0]) <= tie_tol and tuple(sup) < best_sup

@@ -81,10 +81,10 @@ class Selector:
         if self.name == "gauss-ccp":
             opts = {k: v for k, v in self.options.items() if k != "lambda_grid"}
             cfg = GaussConfig(gamma=kernel.require_bandwidth(), rng=rng, **opts)
-            if self.options.get("lambda_grid"):
-                cfg = replace(cfg, lambda_grid=tuple(self.options["lambda_grid"]))
+            grid = self.options.get("lambda_grid")
+            if grid:
                 tr, val = split_train_test(train, 0.5, derive_stream(rng, 77))
-                cfg = replace(cfg, lam=lambda_grid_select(tr, val, cfg, d))
+                cfg = replace(cfg, lam=lambda_grid_select(tr, val, cfg, d, grid))
             result = ccp_select(train, cfg, d)
             return result.selection, {
                 "method": "gauss-ccp",

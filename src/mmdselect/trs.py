@@ -1,26 +1,27 @@
 """Sphere-constrained quadratic maximization oracle.
 
-``trs_max`` computes ``max { z'Az + t'z : ||z||_2 = 1 }`` together with a
-global-optimality certificate: a multiplier ``mu >= lambda_max(A)`` with
-``||2(mu I - A) z - t||`` small.  It decomposes ``A = Q diag(lam) Q'`` once
-and solves the secular equation ``||z(mu)|| = 1`` with
-``z(mu) = Q diag(1 / (2(mu - lam))) Q't`` for ``mu > lambda_max`` (More &
-Sorensen 1983) by Brent's method.  When the linear term is (numerically)
-orthogonal to the leading eigenspace and ``mu = lambda_max`` leaves
-``||z|| < 1`` (the hard case), a leading eigenvector, its largest entry
-positive, restores unit norm; ``t = 0`` is such a case.
+``lambda_set(S, A, t)`` computes ``max { z'Az + t'z : ||z||_2 = 1,
+supp(z) in S }``, re-embeds the maximizer, and certifies it: a multiplier
+``mu >= lambda_max(A_S)`` with ``||2(mu I - A_S) z - t_S||`` small.  The
+full support ``range(D)`` gives the unconstrained sphere maximum.  The oracle
+decomposes ``A_S = Q diag(lam) Q'`` once and solves the secular equation
+``||z(mu)|| = 1`` with ``z(mu) = Q diag(1 / (2(mu - lam))) Q't`` for
+``mu > lambda_max`` (More & Sorensen 1983) by Brent's method.  When the
+linear term is (numerically) orthogonal to the leading eigenspace and
+``mu = lambda_max`` leaves ``||z|| < 1`` (the hard case), a leading
+eigenvector, its largest entry positive, restores unit norm; ``t = 0`` is
+such a case.
 
-``lambda_set`` restricts the oracle to a coordinate subset and re-embeds the
-maximizer.  Both check their ``(A, t)`` and are the one-lane case of a
-stacked oracle (``_sphere_stack``, ``_sphere_argmax``) that scores many
-supports of one checked ``(A, t)`` with one stacked ``eigh``; ``quad``'s
-solvers call it on a ``QuadProblem``, checked once when it was built.  Every lane, whatever its size and even for ``t = 0``,
-takes the same path through the secular branches and the certificate, so a
-support's answer is bit-identical whether it is scored alone or in a stack.
-The certificate's tolerances are relative to the lane's scale
-``1 + max(||t||, |lambda(A)|)``, so the magnitude of the data does not decide
-whether a correct answer passes.  Greedy selection takes each round's argmax
-from the stack, solving only the lanes whose bound
+``lambda_set`` checks its ``(A, t)`` and is the one-lane case of a stacked
+oracle (``_sphere_stack``, ``_sphere_argmax``) that scores many supports of
+one checked ``(A, t)`` with one stacked ``eigh``; ``quad``'s solvers call it
+on a ``QuadProblem``, checked once when it was built.  Every lane, whatever
+its size and even for ``t = 0``, takes the same path through the secular
+branches and the certificate, so a support's answer is bit-identical whether
+it is scored alone or in a stack.  The certificate's tolerances are relative
+to the lane's scale ``1 + max(||t||, |lambda(A)|)``, so the magnitude of the
+data does not decide whether a correct answer passes.  Greedy selection takes
+each round's argmax from the stack, solving only the lanes whose bound
 ``lambda_max(A_S) + ||t_S||``, read from the stacked ``eigh``, can still
 reach the best value.
 """
@@ -290,12 +291,6 @@ def _sphere_argmax(A, t, supports) -> tuple:
             if lane[0] > best_value or (lane[0] == best_value and s + i < best):
                 best, best_value, best_lane = s + i, lane[0], lane
     return best, best_lane
-
-
-def trs_max(A: np.ndarray, t: np.ndarray) -> TrsSolution:
-    """Global maximum of ``z'Az + t'z`` over the unit sphere."""
-    A, t = _oracle_input(A, t)
-    return TrsSolution(*_sphere_stack(A, t, [range(t.shape[0])])[0])
 
 
 def lambda_set(S, A: np.ndarray, t: np.ndarray) -> TrsSolution:

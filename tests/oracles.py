@@ -16,7 +16,10 @@ textbook formulas, and the mirror step's exponential is taken in the
 eigenbasis of its exponent.  The baseline selectors (a fixed support, a
 random one) and the gradient wrapper are what the tests drive the library
 with.  The approximation-ratio envelope is the sandwich a certified
-relaxation bound must sit in.
+relaxation bound must sit in.  ``trs_max`` is the library's sphere oracle
+on the full support, and ``concentration_epsilon`` the paper's deviation
+radius of the empirical MMD, which the acceptance criteria check as a
+formula.
 """
 
 from __future__ import annotations
@@ -32,6 +35,12 @@ from scipy.optimize import brentq, minimize_scalar
 from mmdselect import mmd, spectrahedron
 from mmdselect.core import _one_blas_thread, derive_stream, make_selection
 from mmdselect.gauss import GaussianPairTerms
+from mmdselect.trs import lambda_set
+
+
+def trs_max(A: np.ndarray, t: np.ndarray):
+    """``max { z'Az + t'z : ||z|| = 1 }``: ``lambda_set`` on the full support."""
+    return lambda_set(range(np.size(t)), A, t)
 
 
 def dual_trs_value(A: np.ndarray, t: np.ndarray) -> float:
@@ -291,6 +300,37 @@ def save_matrix_reference(path: str, M: np.ndarray, header: list[str] | None = N
             fh.write(",".join(header) + "\n")
         for row in M:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+@dataclass(frozen=True)
+class ConcentrationInputs:
+    """Sample sizes, kernel upper bound and error probability for the
+    finite-sample deviation constant."""
+
+    m: int
+    n: int
+    kbar: float
+    eta: float
+
+    def __post_init__(self):
+        if self.m < 1 or self.n < 1:
+            raise ValueError("sample sizes must be positive")
+        if not self.kbar > 0:
+            raise ValueError("kernel upper bound must be positive")
+        if not 0.0 < self.eta < 1.0:
+            raise ValueError("eta must lie in (0, 1)")
+
+
+def concentration_epsilon(inp: ConcentrationInputs) -> float:
+    """Deviation radius eps(m, n, kbar, eta) of the empirical MMD.
+
+    eps = 2 (sqrt(kbar/m) + sqrt(kbar/n))
+          + sqrt( 2 kbar (m+n)/(m n) * log(2/eta) ).
+    """
+    m, n, kbar, eta = inp.m, inp.n, inp.kbar, inp.eta
+    return 2.0 * (math.sqrt(kbar / m) + math.sqrt(kbar / n)) + math.sqrt(
+        2.0 * kbar * (m + n) / (m * n) * math.log(2.0 / eta)
+    )
 
 
 def median_heuristic_reference(X: np.ndarray, Y: np.ndarray) -> float:

@@ -19,7 +19,7 @@ from mmdselect.bench import (
 from mmdselect.core import RandomSource, TwoSampleData, make_selection
 from mmdselect.gauss import GaussConfig, ccp_select, gauss_objective
 from mmdselect.linear import LinearCoefficients, linear_coefficients, linear_select
-from mmdselect.mmd import ConcentrationInputs, KernelSpec, concentration_epsilon, median_heuristic, mmd_sq
+from mmdselect.mmd import KernelSpec, median_heuristic, mmd_sq
 from mmdselect.quad import (
     QuadProblem,
     _certified_upper_bound,
@@ -33,17 +33,19 @@ from mmdselect.spectrahedron import (
     mirror_step,
     smd_run,
 )
-from mmdselect.trs import trs_max
 
 from oracles import (
+    ConcentrationInputs,
     approximation_gap,
     bregman,
     brute_force_linear,
     brute_force_quad,
     central_difference_gradient,
+    concentration_epsilon,
     grid_sphere_max,
     stochastic_gradient,
     surrogate,
+    trs_max,
 )
 
 

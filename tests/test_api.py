@@ -15,17 +15,17 @@ from mmdselect import ExperimentConfig, GaussConfig
 from mmdselect.selectors import SOLVER_FAMILIES, Selector
 
 PUBLIC_NAMES = [
-    "ConcentrationInputs", "DataFormatError", "DegenerateBandwidthError", "ExperimentConfig",
+    "DataFormatError", "DegenerateBandwidthError", "ExperimentConfig",
     "GaussConfig", "KernelSpec", "LinearCoefficients", "PermutationReport", "QuadProblem",
     "QuadSolveReport", "RandomSource", "SelectionMetrics",
     "SelectionVector", "Selector", "SpectraPoint", "SynthSpec", "TrsSolution", "TwoSampleData",
-    "assemble_quadratic", "ccp_select", "concentration_epsilon",
+    "assemble_quadratic", "ccp_select",
     "derive_stream", "exact_select_bnb", "extract_selection", "fdp_ndp",
     "greedy_select", "lambda_grid_select", "lambda_set", "linear_coefficients",
     "linear_select", "load_two_sample", "local_search", "median_heuristic",
     "mmd_sq", "permutation_test",
-    "run_power_experiment", "run_recovery_experiment", "save_two_sample", "smd_run",
-    "split_train_test", "synth_block_gaussian", "trs_max", "wishart_sample",
+    "run_power_experiment", "run_recovery_experiment", "smd_run",
+    "split_train_test", "synth_block_gaussian", "wishart_sample",
 ]
 
 
@@ -40,7 +40,7 @@ def test_package_exports_exactly_the_public_names():
 @pytest.mark.parametrize(
     "config, fields",
     [
-        (GaussConfig, ["gamma", "lam", "T_out", "T_in", "batch", "lambda_grid", "rng"]),
+        (GaussConfig, ["gamma", "lam", "T_out", "T_in", "batch", "rng"]),
         (
             ExperimentConfig,
             ["spec", "selectors", "trials", "alpha", "n_permutations", "train_fraction",

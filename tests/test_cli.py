@@ -67,10 +67,27 @@ def test_unknown_flag_exits_2(csv_pair):
     assert code == 2
 
 
-def test_missing_file_exits_2(tmp_path):
+def test_missing_file_exits_2(tmp_path, capsys):
     code = dispatch(["select", "--solver", "linear", "--d", "1",
                      "--x", str(tmp_path / "nope.csv"), "--y", str(tmp_path / "nope2.csv")])
-    assert code in (1, 2)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'nope.csv'}: cannot read: No such file or directory\n"
+    )
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_unreadable_input_exits_2_naming_it(kind, csv_pair, tmp_path, capsys):
+    px, _ = csv_pair
+    if kind == "directory":
+        py, reason = tmp_path / "sub", "cannot read: Is a directory"
+        py.mkdir()
+    else:
+        py, reason = tmp_path / "latin1.csv", "not UTF-8 text: 'utf-8' codec can't decode byte 0xff"
+        py.write_bytes(b"1,2,3,4\n\xff,6,7,8\n")
+    code = dispatch(["select", "--solver", "linear", "--d", "1", "--x", px, "--y", str(py)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {py}: {reason}")
 
 
 def test_non_finite_cell_exits_2_naming_it(csv_pair, tmp_path, capsys):
@@ -487,3 +504,54 @@ def test_select_gauss_trajectory_and_lambda_grid(csv_pair, tmp_path):
     lines = traj.read_text().strip().splitlines()
     assert len(lines) >= 2
     assert "objective" in json.loads(lines[0])
+
+
+def _unwritable_output_cases():
+    """``(id, argv)``: each command with one output path in a missing
+    directory, written as ``{bad}``; ``{x}``/``{y}`` are the input tables."""
+    select = ["select", "--solver", "quad-greedy", "--d", "2", "--x", "{x}", "--y", "{y}"]
+    test = ["test", "--solver", "linear", "--d", "2", "--x", "{x}", "--y", "{y}", "--np", "10"]
+    synth = ["synth", "--blocks", "2", "--n", "5", "--m", "5"]
+    bench = ["--blocks", "2", "--n", "12", "--m", "12", "--selectors", "linear", "--d", "2",
+             "--trials", "1", "--np", "10"]
+    gauss = ["select", "--solver", "gauss-ccp", "--d", "2", "--x", "{x}", "--y", "{y}"]
+    return [
+        ("select-out", select + ["--out", "{bad}"]),
+        ("select-trajectory", gauss + ["--trajectory", "{bad}"]),
+        ("test-out", test + ["--out", "{bad}"]),
+        ("synth-out-x", synth + ["--out-x", "{bad}", "--out-y", "{y2}"]),
+        ("synth-out-y", synth + ["--out-x", "{x2}", "--out-y", "{bad}"]),
+        ("synth-out-support",
+         synth + ["--out-x", "{x2}", "--out-y", "{y2}", "--out-support", "{bad}"]),
+        ("bench-power-table", ["bench-power", *bench, "--table", "{bad}"]),
+        ("bench-recovery-table", ["bench-recovery", *bench, "--table", "{bad}"]),
+    ]
+
+
+@pytest.mark.parametrize("argv", [a for _, a in _unwritable_output_cases()],
+                         ids=[i for i, _ in _unwritable_output_cases()])
+def test_unwritable_output_exits_2_naming_it(argv, csv_pair, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("MMDSELECT_WORKERS", raising=False)
+    bad = tmp_path / "missing" / "out"
+    paths = {"x": csv_pair[0], "y": csv_pair[1], "bad": str(bad),
+             "x2": str(tmp_path / "x2.csv"), "y2": str(tmp_path / "y2.csv")}
+    code = dispatch([a.format(**paths) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err == f"error: cannot write {bad}: No such file or directory\n"
+    assert out == ""
+
+
+def test_unwritable_report_in_a_module_run_exits_2_without_a_traceback(csv_pair, tmp_path):
+    src = str(Path(mmdselect.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    bad = tmp_path / "missing" / "o.json"
+    run = subprocess.run(
+        [sys.executable, "-m", "mmdselect.cli", "select", "--solver", "linear", "--d", "1",
+         "--x", csv_pair[0], "--y", csv_pair[1], "--out", str(bad)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 2
+    assert "Traceback" not in run.stdout + run.stderr
+    assert run.stderr == f"error: cannot write {bad}: No such file or directory\n"

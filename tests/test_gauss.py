@@ -262,8 +262,8 @@ def test_lambda_grid_singleton():
     gen = np.random.default_rng(53)
     tr = rand_data(gen, 10, 10, 4)
     val = rand_data(gen, 10, 10, 4)
-    cfg = GaussConfig(gamma=1.0, lambda_grid=(0.0,), T_out=1, T_in=5, batch=8, rng=RandomSource(1))
-    assert lambda_grid_select(tr, val, cfg, 2) == 0.0
+    cfg = GaussConfig(gamma=1.0, T_out=1, T_in=5, batch=8, rng=RandomSource(1))
+    assert lambda_grid_select(tr, val, cfg, 2, (0.0,)) == 0.0
 
 
 def test_lambda_grid_picks_strictly_better_weight(monkeypatch):
@@ -285,8 +285,8 @@ def test_lambda_grid_picks_strictly_better_weight(monkeypatch):
         return gauss_mod.CcpResult(selection=sel, trajectory=(), Z=None)
 
     monkeypatch.setattr(gauss_mod, "ccp_select", fake_ccp)
-    cfg = GaussConfig(gamma=1.0, lambda_grid=(0.0, 0.05, 0.5), T_out=1, T_in=1, rng=RandomSource(0))
-    assert gauss_mod.lambda_grid_select(tr, val, cfg, 1) == 0.05
+    cfg = GaussConfig(gamma=1.0, T_out=1, T_in=1, rng=RandomSource(0))
+    assert gauss_mod.lambda_grid_select(tr, val, cfg, 1, (0.0, 0.05, 0.5)) == 0.05
 
 
 def test_lambda_grid_picks_argmax_and_breaks_ties_low():
@@ -294,11 +294,25 @@ def test_lambda_grid_picks_argmax_and_breaks_ties_low():
     M = gen.standard_normal((16, 4))
     null_tr = TwoSampleData(M, M.copy())
     null_val = TwoSampleData(M[:8], M[:8].copy())
-    cfg = GaussConfig(
-        gamma=1.0, lambda_grid=(0.5, 0.0, 0.1), T_out=1, T_in=0, batch=8, rng=RandomSource(2)
-    )
+    cfg = GaussConfig(gamma=1.0, T_out=1, T_in=0, batch=8, rng=RandomSource(2))
     # identical groups: every lambda scores 0 on validation; smallest wins
-    assert lambda_grid_select(null_tr, null_val, cfg, 2) == 0.0
+    assert lambda_grid_select(null_tr, null_val, cfg, 2, (0.5, 0.0, 0.1)) == 0.0
+
+
+def test_lambda_grid_checks_every_weight_before_the_first_run(monkeypatch):
+    import mmdselect.gauss as gauss_mod
+
+    runs = []
+    monkeypatch.setattr(gauss_mod, "ccp_select", lambda data, cfg, d: runs.append(cfg.lam))
+    data = rand_data(np.random.default_rng(3), 6, 6, 3)
+    cfg = GaussConfig(gamma=1.0, T_out=1, T_in=0)
+    # the bad weight sorts after a good one, or has no order (nan)
+    for grid in [(0.1, np.nan), (0.1, np.inf), (np.nan, 0.1)]:
+        with pytest.raises(ValueError, match=r"l1 weights \(lam, lambda_grid\) must be finite"):
+            gauss_mod.lambda_grid_select(data, data, cfg, 1, grid)
+    with pytest.raises(ValueError, match="lambda grid must be non-empty"):
+        gauss_mod.lambda_grid_select(data, data, cfg, 1, ())
+    assert runs == []
 
 
 def test_trajectory_dump_format(tmp_path):

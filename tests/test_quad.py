@@ -22,9 +22,9 @@ from mmdselect.quad import (
     local_search,
 )
 from mmdselect.selectors import Selector
-from mmdselect.trs import lambda_set, trs_max
+from mmdselect.trs import lambda_set
 
-from oracles import approximation_gap, brute_force_quad
+from oracles import approximation_gap, brute_force_quad, trs_max
 
 
 def psd_instance(gen, D):
@@ -324,7 +324,10 @@ def test_quad_problem_psd_shift_bookkeeping():
     assert qp.A.tobytes() == (sym - lmin * np.eye(6)).tobytes()
     assert qp.t.tobytes() == t.tobytes()
     assert qp.A.flags.c_contiguous and not qp.A.flags.writeable and not qp.t.flags.writeable
-    checked = QuadProblem(qp.A, qp.t, qp.shift)
+    checked = QuadProblem(qp.A, qp.t)
     assert checked.A.tobytes() == qp.A.tobytes() and checked.t.tobytes() == qp.t.tobytes()
+    assert checked.shift == 0.0  # only from_matrices shifts
+    with pytest.raises(TypeError):
+        QuadProblem(qp.A, qp.t, qp.shift)
     t[0] += 1.0  # the problem holds its own copy
     assert qp.t[0] != t[0]

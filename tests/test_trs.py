@@ -16,9 +16,9 @@ import mmdselect
 from mmdselect import trs
 from mmdselect.core import make_selection
 from mmdselect.quad import QuadProblem, greedy_select
-from mmdselect.trs import _brentq, _sphere_stack, lambda_set, trs_max
+from mmdselect.trs import _brentq, _oracle_input, _sphere_stack, lambda_set
 
-from oracles import dual_trs_value, greedy_reference, grid_sphere_max, scalar_sphere_max
+from oracles import dual_trs_value, greedy_reference, grid_sphere_max, scalar_sphere_max, trs_max
 
 
 def random_instance(gen, k, style):
@@ -154,6 +154,27 @@ def test_lambda_set_full_and_partial():
     t = np.array([0.0, 2.0, 0.0])
     assert lambda_set([0, 1, 2], A, t).value == pytest.approx(5.5, abs=1e-9)
     assert lambda_set([0, 2], A, t).value == pytest.approx(5.0, abs=1e-9)
+
+
+def test_lambda_set_on_the_full_support_is_the_stacked_lane_bit_for_bit():
+    # lambda_set(range(D)) is the whole-sphere oracle: the checked input's
+    # one stacked lane, unchanged by the re-embedding (t = 0, hard-case,
+    # repeated-eigenvalue and generic problems, D = 1 included)
+    gen = np.random.default_rng(23)
+    hard = 0
+    for D in range(1, 13):
+        for style in range(4):
+            for _ in range(3):
+                A, t = random_instance(gen, D, style)
+                A = A + 1e-13 * gen.standard_normal((D, D))  # symmetric within the check
+                sol = lambda_set(range(D), A, t)
+                value, z, mu, res, is_hard = _sphere_stack(*_oracle_input(A, t), [range(D)])[0]
+                assert (sol.value, sol.mu, sol.kkt_residual, sol.hard_case) == (
+                    value, mu, res, is_hard
+                )
+                assert sol.z.tobytes() == z.tobytes()
+                hard += is_hard
+    assert hard >= 36  # every t = 0 problem, and more
 
 
 def test_lambda_set_errors():
